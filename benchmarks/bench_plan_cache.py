@@ -1,18 +1,18 @@
 """Plan cache: repeated-query throughput on the serving path.
 
 The engine's plan cache amortizes parse → rewrite → optimize → compile
-per ``(policy, query, optimize)`` instead of per request; with the
-document index attached, residual ``//label`` steps evaluate via
-binary search.  These cells measure the Adex workload (Section 6) on
-D2 under three configurations:
+per ``(policy, query, optimize)`` instead of per request.  These cells
+measure the Adex workload (Section 6) on D2 under three
+configurations:
 
-* ``seed`` — the pre-plan-cache pipeline (``use_cache=False``,
-  interpreter evaluation, no index): every request re-rewrites;
-* ``cached`` — warm plan cache, interpreter-compatible compiled plans;
-* ``cached+index`` — warm plan cache plus the document index.
+* ``seed`` — ``use_cache=False``: the same plan path, but every request
+  re-parses, re-rewrites, re-optimizes and re-compiles;
+* ``cached`` — warm plan cache, unprojected answers;
+* ``cached+projected`` — warm plan cache plus view projection (the
+  full serving surface).
 
 ``test_warm_cache_speedup`` asserts the acceptance bar: on repeated
-identical queries the warm cache+index path answers Q1-Q3 at least 5x
+identical queries the warm cache path answers Q1-Q3 at least 5x
 faster (geometric mean) than the seed path, with node-for-node
 identical results.  (Q4 is excluded from the speedup bar: the
 optimizer proves it empty, so both paths are trivially fast.)
@@ -29,10 +29,9 @@ from repro.workloads.adex import adex_dtd, adex_spec
 from repro.workloads.documents import dataset
 from repro.workloads.queries import ADEX_QUERY_TEXTS
 
-SEED = ExecutionOptions(use_cache=False, use_index=False, project=False)
-CACHED = ExecutionOptions(use_cache=True, use_index=False, project=False)
-CACHED_INDEXED = ExecutionOptions(use_cache=True, use_index=True, project=False)
-CACHED_PROJECTED = ExecutionOptions(use_cache=True, use_index=True)
+SEED = ExecutionOptions(use_cache=False, project=False)
+CACHED = ExecutionOptions(use_cache=True, project=False)
+CACHED_PROJECTED = ExecutionOptions(use_cache=True)
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +40,9 @@ def serving():
     engine = SecureQueryEngine(dtd)
     engine.register_policy("adex", adex_spec(dtd))
     document = dataset("D2")
-    # warm the plan cache and the document index once
+    # warm the plan cache once
     for text in ADEX_QUERY_TEXTS.values():
-        engine.query("adex", text, document, options=CACHED_INDEXED)
+        engine.query("adex", text, document, options=CACHED)
         engine.query("adex", text, document, options=CACHED_PROJECTED)
     return engine, document
 
@@ -65,16 +64,8 @@ def test_repeated_query_cached(benchmark, serving, query_name):
 
 
 @pytest.mark.parametrize("query_name", list(ADEX_QUERY_TEXTS))
-def test_repeated_query_cached_indexed(benchmark, serving, query_name):
-    engine, document = serving
-    text = ADEX_QUERY_TEXTS[query_name]
-    benchmark.group = "plan-cache-%s" % query_name
-    benchmark(engine.query, "adex", text, document, CACHED_INDEXED)
-
-
-@pytest.mark.parametrize("query_name", list(ADEX_QUERY_TEXTS))
 def test_repeated_query_cached_projected(benchmark, serving, query_name):
-    """The full serving surface: warm cache + index + view projection."""
+    """The full serving surface: warm cache + view projection."""
     engine, document = serving
     text = ADEX_QUERY_TEXTS[query_name]
     benchmark.group = "plan-cache-projected-%s" % query_name
@@ -96,14 +87,14 @@ def test_cached_results_identical(serving):
     engine, document = serving
     for text in ADEX_QUERY_TEXTS.values():
         seed = engine.query("adex", text, document, options=SEED)
-        warm = engine.query("adex", text, document, options=CACHED_INDEXED)
+        warm = engine.query("adex", text, document, options=CACHED)
         assert [id(node) for node in seed] == [id(node) for node in warm]
         assert warm.report.cache_hit
 
 
 def test_warm_cache_speedup(serving, request):
     """Acceptance bar: >= 5x (geomean, Q1-Q3) for repeated identical
-    queries with warm cache + index over the seed path."""
+    queries with a warm cache over the seed path."""
     if request.config.getoption("--quick", default=False):
         pytest.skip(
             "speedup bar is calibrated for full-size D2; quick-mode "
@@ -119,9 +110,7 @@ def test_warm_cache_speedup(serving, request):
             repetitions,
         )
         warm_time = _best_mean(
-            lambda: engine.query(
-                "adex", text, document, options=CACHED_INDEXED
-            ),
+            lambda: engine.query("adex", text, document, options=CACHED),
             repetitions,
         )
         ratios[query_name] = seed_time / warm_time

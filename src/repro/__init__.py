@@ -25,8 +25,8 @@ Quickstart::
     document = DocumentGenerator(dtd, seed=1).generate()
     result = engine.query("nurse", "//patient/name", document)
     print(result.report.summary())              # stages, cache, timings
-    fast = ExecutionOptions(use_index=True)     # plan cache is on by default
-    result = engine.query("nurse", "//patient/name", document, options=fast)
+    columnar = ExecutionOptions(strategy="columnar")  # NodeTable backend
+    result = engine.query("nurse", "//patient/name", document, options=columnar)
 
 The subpackages are usable on their own:
 
@@ -62,7 +62,7 @@ pay for observability, robustness, or serving imports.
 
 from typing import TYPE_CHECKING
 
-__version__ = "2.3.0"
+__version__ = "3.0.0"
 
 #: Exported name → defining submodule.  The single source of truth for
 #: both ``__getattr__`` and ``__all__``.

@@ -29,8 +29,8 @@ boolean keywords were removed in 2.0; see ``docs/api.md``).
 
 Thread safety: one engine may serve queries from many threads
 concurrently (see ``docs/serving.md``).  Every expensive per-key
-artifact — compiled plans, NodeTables, DocumentIndexes, materialized
-view trees, unfolded rewriters — is *immutable after build* and built
+artifact — compiled plans, NodeTables, materialized view trees,
+unfolded rewriters — is *immutable after build* and built
 under a single per-key lock, so concurrent first requests for the
 same artifact serialize on its build while requests for other keys
 proceed; once built, readers share the structure without locking.
@@ -83,7 +83,6 @@ from repro.robustness.faults import trip as fault_trip
 from repro.core.unfold import unfold_view
 from repro.core.view import SecurityView
 from repro.xpath.ast import Absolute, Label, Path
-from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.fingerprint import query_fingerprint
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import PlanRuntime, compile_path
@@ -91,8 +90,8 @@ from repro.xpath.plan import PlanRuntime, compile_path
 
 class _KeyedLocks:
     """One build lock per cache key.  Concurrent first requests for
-    the same expensive artifact (a NodeTable, a DocumentIndex, a
-    materialized view tree, an unfolded rewriter) serialize on their
+    the same expensive artifact (a NodeTable, a materialized view
+    tree, an unfolded rewriter) serialize on their
     key's lock and build once; requests for different keys build in
     parallel.  Lock objects are tiny and keys are bounded by the
     engine's own caches, so entries are only pruned on
@@ -313,10 +312,7 @@ class SecureQueryEngine:
         self._policies: Dict[str, _Policy] = {}
         self._optimizer = Optimizer(dtd)
         self._plan_cache = PlanCache(plan_cache_size)
-        # id(document) -> (document, DocumentIndex); shared by policies
-        self._indexes: Dict[int, tuple] = {}
-        # id(document) -> (document, NodeTable); the columnar twin of
-        # _indexes — registered side by side so both invalidate together
+        # id(document) -> (document, NodeTable); shared by policies
         self._stores: Dict[int, tuple] = {}
         # audit-event fan-out; inert (one attribute check per emit
         # site) until a sink is attached
@@ -404,13 +400,10 @@ class SecureQueryEngine:
         views (Section 4.2).  With ``use_cache`` (default) the result
         is served from — and primes — the engine's plan cache."""
         entry = self._policy(policy)
-        if use_cache:
-            compiled, _ = self._compiled(
-                entry, query, document, optimize=False
-            )
-            return compiled.rewritten
-        parsed = self._parse(entry, query)
-        return self._rewriter(entry, document).rewrite(parsed)
+        compiled, _ = self._compiled(
+            entry, query, document, optimize=False, use_cache=use_cache
+        )
+        return compiled.rewritten
 
     def query(
         self,
@@ -421,8 +414,8 @@ class SecureQueryEngine:
     ) -> QueryResult:
         """Answer a view query on ``document``.
 
-        Execution knobs (strategy, optimizer, projection, index, plan
-        cache) are grouped in ``options``, an
+        Execution knobs (strategy, optimizer, projection, plan cache)
+        are grouped in ``options``, an
         :class:`~repro.core.options.ExecutionOptions`:
 
         * ``strategy="virtual"`` (default, the paper's approach) — the
@@ -546,44 +539,17 @@ class SecureQueryEngine:
         the query in the workload profiler (defaults to the policy
         name, matching the serving layer's tenant fallback)."""
         try:
-            if options.strategy == STRATEGY_MATERIALIZED:
-                results, report = self._query_materialized(
-                    policy, query, document, options, tracer=tracer,
-                    trace_id=trace_id,
-                )
-            else:
-                results, report = self._execute(
-                    policy,
-                    query,
-                    document,
-                    options,
-                    scan_cache=scan_cache,
-                    tracer=tracer,
-                    trace_id=trace_id,
-                )
+            results, report = self._execute(
+                policy,
+                query,
+                document,
+                options,
+                scan_cache=scan_cache,
+                tracer=tracer,
+                trace_id=trace_id,
+            )
         except ReproError as error:
-            # denials already produced a DenialEvent in _check_labels;
-            # everything else gets an ErrorEvent with its stable code
-            if not isinstance(error, QueryRejectedError):
-                self._emit(
-                    ErrorEvent,
-                    policy,
-                    query if isinstance(query, str) else str(query),
-                    error.code,
-                    str(error),
-                    trace_id,
-                )
-            profiler = self._workload
-            if profiler is not None:
-                try:
-                    profiler.record_error(
-                        tenant or policy,
-                        policy,
-                        query_fingerprint(query),
-                        denied=isinstance(error, QueryRejectedError),
-                    )
-                except Exception:
-                    record("workload.failures")
+            self.record_failure(policy, query, error, trace_id, tenant)
             raise
         profiler = self._workload
         if profiler is not None:
@@ -612,6 +578,43 @@ class SecureQueryEngine:
         )
         return QueryResult(results, report)
 
+    def record_failure(
+        self,
+        policy: str,
+        query: TypingUnion[str, Path],
+        error: Exception,
+        trace_id: str = "",
+        tenant: Optional[str] = None,
+    ) -> None:
+        """Account for one failed request: an audit
+        :class:`~repro.obs.events.ErrorEvent` with the error's stable
+        code (denials already produced a
+        :class:`~repro.obs.events.DenialEvent` when the label check
+        raised) and a workload-profiler error.  The engine calls this
+        for every failed query; the serving layer calls it for
+        requests that fail before reaching the engine (admission)."""
+        denied = isinstance(error, QueryRejectedError)
+        if not denied:
+            self._emit(
+                ErrorEvent,
+                policy,
+                query if isinstance(query, str) else str(query),
+                error_code(error),
+                str(error),
+                trace_id,
+            )
+        profiler = self._workload
+        if profiler is not None:
+            try:
+                profiler.record_error(
+                    tenant or policy,
+                    policy,
+                    query_fingerprint(query),
+                    denied=denied,
+                )
+            except Exception:
+                record("workload.failures")
+
     def explain(
         self,
         policy: str,
@@ -623,17 +626,12 @@ class SecureQueryEngine:
         :class:`QueryReport`: the rewriting pipeline's stages, cache
         status, per-stage timings, and evaluation statistics."""
         options = self._resolve_options(options)
-        if options.strategy == STRATEGY_MATERIALIZED:
-            _, report = self._query_materialized(
-                policy, query, document, options
-            )
-            return report
         _, report = self._execute(policy, query, document, options)
         return report
 
     def invalidate(self, policy: Optional[str] = None) -> None:
-        """Drop cached materialized views, document indexes, and
-        compiled query plans (call after document or policy updates).
+        """Drop cached materialized views, NodeTables, and compiled
+        query plans (call after document or policy updates).
         Without ``policy``, caches of all policies clear.
 
         Safe to call with queries in flight: in-flight executions keep
@@ -643,7 +641,6 @@ class SecureQueryEngine:
             names = [policy] if policy is not None else list(self._policies)
             for name in names:
                 self._policy(name).materialized.clear()
-            self._indexes.clear()
             self._stores.clear()
             self._plan_cache.invalidate(policy)
             self._build_locks.clear()
@@ -716,8 +713,8 @@ class SecureQueryEngine:
     def introspect(self) -> dict:
         """One JSON-safe report of what this engine's caches hold and
         cost: plan cache (entries, bytes, hit/eviction counters),
-        columnar NodeTables, DocumentIndexes, and materialized view
-        trees, each with entry counts and byte estimates (see
+        columnar NodeTables, and materialized view trees, each with
+        entry counts and byte estimates (see
         :mod:`repro.obs.introspect`)."""
         from repro.obs.introspect import engine_report
 
@@ -844,10 +841,17 @@ class SecureQueryEngine:
         except Exception:
             record("canary.failures")
 
-    def _materialized_view(self, entry: _Policy, document):
+    def _materialized_view(
+        self,
+        entry: _Policy,
+        document,
+        budget=None,
+        tracer: Optional[Tracer] = None,
+    ):
         """The (cached) materialized view of ``document`` under
         ``entry`` — the oracle the canary and the materialized
-        strategy share."""
+        strategy share.  A build charges ``budget`` and opens a
+        ``materialize`` span on ``tracer``."""
         cached = entry.materialized.get(id(document))
         if cached is not None and cached[0] is document:
             return cached[1]
@@ -855,7 +859,10 @@ class SecureQueryEngine:
             cached = entry.materialized.get(id(document))
             if cached is not None and cached[0] is document:
                 return cached[1]
-            view_tree = materialize(document, entry.view, entry.spec)
+            with (tracer or Tracer()).span("materialize"):
+                view_tree = materialize(
+                    document, entry.view, entry.spec, budget=budget
+                )
             entry.materialized[id(document)] = (document, view_tree)
         return view_tree
 
@@ -963,33 +970,6 @@ class SecureQueryEngine:
             )
         return document if isinstance(document, int) else document.height()
 
-    def _index_for(self, document, policy: str = ""):
-        """The (cached) :class:`DocumentIndex` of ``document`` — or
-        ``None`` when the build fails and the degradation policy allows
-        the ``index.build`` seam to fall back to subtree scans."""
-        from repro.xmlmodel.index import DocumentIndex
-
-        cached = self._indexes.get(id(document))
-        if cached is not None and cached[0] is document:
-            return cached[1]
-        with self._build_locks(("index", id(document))):
-            cached = self._indexes.get(id(document))
-            if cached is not None and cached[0] is document:
-                return cached[1]
-            if self._seam_open("index.build"):
-                return None
-            try:
-                fault_trip("index.build")
-                index = DocumentIndex(document)
-            except Exception as error:
-                self._seam_failed("index.build")
-                if self._degrade("index.build", policy, error):
-                    return None
-                raise
-            self._seam_ok("index.build")
-            self._indexes[id(document)] = (document, index)
-        return index
-
     def _store_for(self, document, policy: str = ""):
         """The (cached) columnar :class:`NodeTable` of ``document`` —
         or ``None`` when the build fails and the degradation policy
@@ -1084,26 +1064,28 @@ class SecureQueryEngine:
         document,
         optimize: bool,
         strategy: str = STRATEGY_VIRTUAL,
-        use_index: bool = False,
         use_cache: bool = True,
         tracer: Optional[Tracer] = None,
         trace_id: str = "",
     ):
         """The cached compilation of ``query`` under ``entry``'s
         policy: ``(CompiledQuery, cache_hit)``.  The key carries the
-        execution shape (``strategy``, ``use_index``) so a warm cache
-        never serves a plan entry primed for a different backend.
-        With ``use_cache=False`` the cache is neither consulted nor
-        primed (compilation still runs, once per call).  Stage spans
-        open on ``tracer`` (a private one if the caller has none); the
-        measured durations feed the entry's ``timings``."""
+        ``strategy`` so a warm cache never serves a plan entry primed
+        for a different backend.  Under ``"materialized"`` the query
+        runs on the view tree itself, so it is parsed but neither
+        rewritten nor optimized.  With ``use_cache=False`` the cache
+        is neither consulted nor primed (compilation still runs, once
+        per call).  Stage spans open on ``tracer`` (a private one if
+        the caller has none); the measured durations feed the entry's
+        ``timings``."""
         query_text = query if isinstance(query, str) else str(query)
+        materialized = strategy == STRATEGY_MATERIALIZED
         height = (
             self._unfold_height(entry, document)
-            if entry.view.is_recursive()
+            if entry.view.is_recursive() and not materialized
             else None
         )
-        key = (entry.name, query_text, optimize, height, strategy, use_index)
+        key = (entry.name, query_text, optimize, height, strategy)
         if use_cache:
             if self._seam_open("plan_cache.get"):
                 cached = None  # breaker open: skip the lookup outright
@@ -1126,16 +1108,21 @@ class SecureQueryEngine:
         with tracer.span("parse") as span:
             parsed = self._parse(entry, query, trace_id)
         timings["parse"] = span.duration
-        rewriter = self._rewriter(entry, document)
-        with tracer.span("rewrite") as span:
-            rewritten = rewriter.rewrite(parsed)
-        timings["rewrite"] = span.duration
-        if optimize:
-            with tracer.span("optimize") as span:
-                optimized = self._optimizer.optimize(rewritten)
-            timings["optimize"] = span.duration
+        if materialized:
+            view = entry.view
+            rewritten = optimized = parsed
         else:
-            optimized = rewritten
+            rewriter = self._rewriter(entry, document)
+            view = rewriter.view
+            with tracer.span("rewrite") as span:
+                rewritten = rewriter.rewrite(parsed)
+            timings["rewrite"] = span.duration
+            if optimize:
+                with tracer.span("optimize") as span:
+                    optimized = self._optimizer.optimize(rewritten)
+                timings["optimize"] = span.duration
+            else:
+                optimized = rewritten
         compiled = CompiledQuery(
             entry.name,
             query_text,
@@ -1144,10 +1131,9 @@ class SecureQueryEngine:
             parsed,
             rewritten,
             optimized,
-            rewriter.view,
+            view,
             timings,
             strategy=strategy,
-            use_index=use_index,
         )
         # computed once per compilation (from the already-parsed AST)
         # and carried by the cache entry, so warm requests pay a field
@@ -1156,7 +1142,13 @@ class SecureQueryEngine:
         if use_cache and not self._seam_open("plan_cache.put"):
             try:
                 fault_trip("plan_cache.put")
-                self._plan_cache.put(key, compiled)
+                # checked under the admin lock: a policy dropped (and
+                # perhaps re-registered under the same name) while this
+                # compile ran must not leave the old spec's plan cached
+                # for the new policy
+                with self._admin_lock:
+                    if self._policies.get(entry.name) is entry:
+                        self._plan_cache.put(key, compiled)
             except Exception as error:
                 self._seam_failed("plan_cache.put")
                 if not self._degrade("plan_cache.put", entry.name, error):
@@ -1191,10 +1183,9 @@ class SecureQueryEngine:
         compiled: CompiledQuery,
         tracer: Optional[Tracer] = None,
     ):
-        """Per-view-target plans for projected evaluation, mirroring
-        the uncached :meth:`_evaluate_projected` exactly: text targets
-        run the raw rewritten path; element targets run the optimized
-        one."""
+        """Per-view-target plans for projected evaluation: text
+        targets run the raw rewritten path; element targets run the
+        optimized one."""
         if compiled.projected is not None:
             return compiled.projected
         with compiled.build_lock:
@@ -1245,15 +1236,13 @@ class SecureQueryEngine:
         tracer: Optional[Tracer] = None,
         trace_id: str = "",
     ):
-        if not options.use_cache and options.strategy == STRATEGY_VIRTUAL:
-            # the pre-plan-cache interpreter pipeline, kept verbatim as
-            # the benchmarking baseline; columnar runs have no
-            # interpreter equivalent, so they stay on the plan path
-            # below (with the cache bypassed).
-            return self._execute_uncached(
-                policy, query, document, options, tracer=tracer,
-                trace_id=trace_id,
-            )
+        """The engine's one query pipeline, for every strategy:
+        compile (through the plan cache unless ``use_cache=False``),
+        execute the plan, project the answers through the view, and
+        build the :class:`QueryReport`.  ``"virtual"`` runs the plans
+        on the object tree, ``"columnar"`` on the document's
+        NodeTable, and ``"materialized"`` runs the parsed view query
+        on the cached materialized view tree."""
         entry = self._policy(policy)
         if tracer is None:
             tracer = Tracer()
@@ -1262,16 +1251,16 @@ class SecureQueryEngine:
         # that an outlier's event arrives with its profile attached
         collect = options.trace or options.slow_query_threshold is not None
         collector = ProfileCollector() if collect else None
+        strategy = options.strategy
         with tracer.span(
-            "query", policy=policy, strategy=options.strategy
+            "query", policy=policy, strategy=strategy
         ) as query_span:
             compiled, cache_hit = self._compiled(
                 entry,
                 query,
                 document,
                 options.optimize,
-                strategy=options.strategy,
-                use_index=options.use_index,
+                strategy=strategy,
                 use_cache=options.use_cache,
                 tracer=tracer,
                 trace_id=trace_id,
@@ -1280,22 +1269,25 @@ class SecureQueryEngine:
                 # the deadline covers compilation too
                 budget.checkpoint()
             runtime = PlanRuntime(
-                (
-                    self._index_for(document, policy)
-                    if options.use_index
-                    else None
-                ),
                 store=(
                     self._store_for(document, policy)
-                    if options.strategy == STRATEGY_COLUMNAR
+                    if strategy == STRATEGY_COLUMNAR
                     else None
                 ),
                 profile=collector,
                 budget=budget,
                 scan_cache=scan_cache,
             )
+            materialized = strategy == STRATEGY_MATERIALIZED
+            context = (
+                self._materialized_view(
+                    entry, document, budget=budget, tracer=tracer
+                )
+                if materialized
+                else document
+            )
             with tracer.span("evaluate") as evaluate_span:
-                if options.project:
+                if options.project and not materialized:
                     results = self._execute_projected(
                         entry, compiled, document, runtime, tracer,
                         budget=budget,
@@ -1303,12 +1295,22 @@ class SecureQueryEngine:
                 else:
                     plan = self._whole_query_plan(compiled, tracer)
                     results = plan.execute(
-                        document, runtime=runtime, ordered=True
+                        context, runtime=runtime, ordered=True
                     )
+                    if materialized:
+                        # view-tree answers are already projected; text
+                        # answers become strings, as projected ones do
+                        results = [
+                            node.value if node.is_text else node
+                            for node in results
+                        ]
                     if budget is not None:
                         budget.charge_results(len(results))
             evaluate_span.set(results=len(results), visits=runtime.visits)
         timings = dict(compiled.timings)
+        for span in query_span.children:
+            if span.name == "materialize":
+                timings["materialize"] = span.duration
         timings["evaluate"] = evaluate_span.duration
         report = QueryReport(
             policy,
@@ -1317,7 +1319,7 @@ class SecureQueryEngine:
             compiled.optimized,
             len(results),
             runtime.visits,
-            strategy=options.strategy,
+            strategy=strategy,
             cache_hit=cache_hit,
             timings=timings,
             total_seconds=query_span.duration,
@@ -1399,190 +1401,3 @@ class SecureQueryEngine:
                 if budget is not None:
                     budget.charge_results(len(projected))
         return projected
-
-    def _execute_uncached(
-        self,
-        policy,
-        query,
-        document,
-        options: ExecutionOptions,
-        tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-    ):
-        """The pre-plan-cache interpreter pipeline (kept verbatim as
-        the ``use_cache=False`` baseline the benchmarks compare
-        against)."""
-        entry = self._policy(policy)
-        if tracer is None:
-            tracer = Tracer()
-        budget = self._budget_for(options)
-        timings: Dict[str, float] = {}
-        with tracer.span(
-            "query", policy=policy, strategy=STRATEGY_VIRTUAL
-        ) as query_span:
-            with tracer.span("parse") as span:
-                parsed = self._parse(entry, query, trace_id)
-            timings["parse"] = span.duration
-            rewriter = self._rewriter(entry, document)
-            with tracer.span("rewrite") as span:
-                rewritten = rewriter.rewrite(parsed)
-            timings["rewrite"] = span.duration
-            if options.optimize:
-                with tracer.span("optimize") as span:
-                    optimized = self._optimizer.optimize(rewritten)
-                timings["optimize"] = span.duration
-            else:
-                optimized = rewritten
-            if budget is not None:
-                budget.checkpoint()
-            evaluator = XPathEvaluator(
-                index=(
-                    self._index_for(document, policy)
-                    if options.use_index
-                    else None
-                ),
-                budget=budget,
-            )
-            with tracer.span("evaluate") as span:
-                if options.project:
-                    results = self._evaluate_projected(
-                        entry, rewriter, parsed, document, evaluator,
-                        budget=budget,
-                    )
-                else:
-                    results = evaluator.evaluate(
-                        optimized, document, ordered=True
-                    )
-                    if budget is not None:
-                        budget.charge_results(len(results))
-            timings["evaluate"] = span.duration
-        report = QueryReport(
-            policy,
-            parsed,
-            rewritten,
-            optimized,
-            len(results),
-            evaluator.visits,
-            strategy=STRATEGY_VIRTUAL,
-            cache_hit=False,
-            timings=timings,
-            total_seconds=query_span.duration,
-            fingerprint=query_fingerprint(parsed),
-        )
-        self._record_query_metrics(report)
-        return results, report
-
-    def _evaluate_projected(
-        self, entry, rewriter, parsed, document, evaluator, budget=None
-    ):
-        """Uncached projected evaluation (see :meth:`_execute_projected`
-        for the plan-based equivalent)."""
-        if isinstance(parsed, Absolute):
-            per_target = rewriter._rw(parsed.inner, "#document")
-            wrap_absolute = True
-        else:
-            per_target = rewriter._rw(parsed, rewriter.view.root_key)
-            wrap_absolute = False
-        projected = []
-        seen = set()
-        for target, path in sorted(per_target.items()):
-            if target.startswith("#text"):
-                raw = evaluator.evaluate(
-                    Absolute(path) if wrap_absolute else path, document
-                )
-                for node in raw:
-                    if id(node) not in seen:
-                        seen.add(id(node))
-                        projected.append(node.value)
-                if budget is not None:
-                    budget.charge_results(len(projected))
-                continue
-            document_path = Absolute(path) if wrap_absolute else path
-            optimized_path = self._optimizer.optimize(document_path)
-            raw = evaluator.evaluate(optimized_path, document, ordered=True)
-            for node in raw:
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                projected.append(
-                    materialize_subtree(
-                        document,
-                        rewriter.view,
-                        entry.spec,
-                        target,
-                        node,
-                        budget=budget,
-                    )
-                )
-                if budget is not None:
-                    budget.charge_results(len(projected))
-        return projected
-
-    def _query_materialized(
-        self,
-        policy,
-        query,
-        document,
-        options: ExecutionOptions,
-        tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-    ):
-        entry = self._policy(policy)
-        if tracer is None:
-            tracer = Tracer()
-        budget = self._budget_for(options)
-        timings: Dict[str, float] = {}
-        with tracer.span(
-            "query", policy=policy, strategy=STRATEGY_MATERIALIZED
-        ) as query_span:
-            with tracer.span("parse") as span:
-                parsed = self._parse(entry, query, trace_id)
-            timings["parse"] = span.duration
-            cached = entry.materialized.get(id(document))
-            view_cache_hit = cached is not None and cached[0] is document
-            if not view_cache_hit:
-                with self._build_locks(("mat", entry.name, id(document))):
-                    cached = entry.materialized.get(id(document))
-                    if cached is not None and cached[0] is document:
-                        view_cache_hit = True  # built while we waited
-                        view_tree = cached[1]
-                    else:
-                        with tracer.span("materialize") as span:
-                            view_tree = materialize(
-                                document,
-                                entry.view,
-                                entry.spec,
-                                budget=budget,
-                            )
-                        timings["materialize"] = span.duration
-                        entry.materialized[id(document)] = (
-                            document,
-                            view_tree,
-                        )
-            else:
-                view_tree = cached[1]
-            evaluator = XPathEvaluator(budget=budget)
-            with tracer.span("evaluate") as span:
-                results = []
-                for node in evaluator.evaluate(
-                    parsed, view_tree, ordered=True
-                ):
-                    results.append(node.value if node.is_text else node)
-                if budget is not None:
-                    budget.charge_results(len(results))
-            timings["evaluate"] = span.duration
-        report = QueryReport(
-            policy,
-            parsed,
-            parsed,
-            parsed,
-            len(results),
-            evaluator.visits,
-            strategy=STRATEGY_MATERIALIZED,
-            cache_hit=view_cache_hit,
-            timings=timings,
-            total_seconds=query_span.duration,
-            fingerprint=query_fingerprint(parsed),
-        )
-        self._record_query_metrics(report)
-        return results, report

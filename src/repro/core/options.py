@@ -1,7 +1,7 @@
 """Execution options for :meth:`repro.core.engine.SecureQueryEngine.query`.
 
 Historically ``query()`` grew a flag per feature (``optimize``,
-``project``, ``strategy``, ``use_index``); :class:`ExecutionOptions`
+``project``, ``strategy``); :class:`ExecutionOptions`
 collapses them into one immutable value object so call sites read as
 intent (``ExecutionOptions(strategy="materialized")``) and new knobs
 do not widen the method signature.  The 1.x per-call boolean keywords
@@ -29,17 +29,13 @@ STRATEGY_COLUMNAR = "columnar"
 
 _STRATEGIES = (STRATEGY_VIRTUAL, STRATEGY_MATERIALIZED, STRATEGY_COLUMNAR)
 
-#: Legacy spelling of :data:`STRATEGY_VIRTUAL` (the seed API's name).
-_LEGACY_STRATEGY_ALIASES = {"rewrite": STRATEGY_VIRTUAL}
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
     """How one query should be executed.
 
     ``strategy``
-        ``"virtual"`` (default; the paper's rewriting approach — the
-        legacy spelling ``"rewrite"`` is accepted),
+        ``"virtual"`` (default; the paper's rewriting approach),
         ``"columnar"`` (the same rewriting pipeline, but plans execute
         set-at-a-time over a cached columnar
         :class:`~repro.xmlmodel.store.NodeTable` — fastest on
@@ -51,15 +47,11 @@ class ExecutionOptions:
         Return view-projected copies (dummies relabeled, hidden
         descendants removed).  With ``False``, raw document nodes are
         returned — callers must not expose them to users.
-    ``use_index``
-        Build (and cache) a
-        :class:`~repro.xmlmodel.index.DocumentIndex` so residual
-        ``//label`` steps evaluate via binary search.
     ``use_cache``
         Serve parse/rewrite/optimize/compile results from the engine's
-        plan cache.  With ``False`` the engine runs the uncached
-        interpreter pipeline (the pre-plan-cache behaviour, kept for
-        benchmarking baselines).
+        plan cache.  With ``False`` every call compiles fresh and
+        bypasses the cache (neither consulted nor primed); execution
+        and answers are the same.
     ``trace``
         Collect per-operator execution stats (rows in/out, chosen
         kernels, qualifier short-circuits) into an EXPLAIN ANALYZE
@@ -91,22 +83,19 @@ class ExecutionOptions:
     strategy: str = STRATEGY_VIRTUAL
     optimize: bool = True
     project: bool = True
-    use_index: bool = False
     use_cache: bool = True
     trace: bool = False
     slow_query_threshold: Optional[float] = None
     limits: Optional["QueryLimits"] = None
 
     def __post_init__(self):
-        normalized = _LEGACY_STRATEGY_ALIASES.get(self.strategy, self.strategy)
-        if normalized not in _STRATEGIES:
+        if self.strategy not in _STRATEGIES:
             from repro.errors import SecurityError
 
             raise SecurityError(
                 "unknown strategy %r (use 'virtual', 'columnar', or "
                 "'materialized')" % (self.strategy,)
             )
-        object.__setattr__(self, "strategy", normalized)
         threshold = self.slow_query_threshold
         if threshold is not None and (
             not isinstance(threshold, (int, float)) or threshold < 0
@@ -141,7 +130,6 @@ class ExecutionOptions:
             "strategy": self.strategy,
             "optimize": self.optimize,
             "project": self.project,
-            "use_index": self.use_index,
             "use_cache": self.use_cache,
             "trace": self.trace,
             "slow_query_threshold": self.slow_query_threshold,
@@ -159,7 +147,6 @@ class ExecutionOptions:
             strategy=payload.get("strategy", STRATEGY_VIRTUAL),
             optimize=payload.get("optimize", True),
             project=payload.get("project", True),
-            use_index=payload.get("use_index", False),
             use_cache=payload.get("use_cache", True),
             trace=payload.get("trace", False),
             slow_query_threshold=payload.get("slow_query_threshold"),

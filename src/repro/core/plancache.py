@@ -19,10 +19,9 @@ For recursive views the rewritten query additionally depends on the
 unfolding depth (the document height, Section 4.2), so the engine
 appends that depth to the key; it is ``None`` for the common
 non-recursive case.  The key further carries the *execution shape* —
-the chosen strategy (``virtual`` vs ``columnar``) and whether a
-document index is attached — so flipping ``--strategy`` or
-``--use-index`` on a warm cache can never serve a plan entry primed
-for the other backend.
+the chosen strategy (``virtual``, ``columnar`` or ``materialized``) —
+so flipping ``--strategy`` on a warm cache can never serve a plan
+entry primed for another backend.
 
 The cache is thread-safe: an LRU lookup *mutates* the recency order
 (``move_to_end``), so even read-mostly serving traffic hits the
@@ -44,16 +43,15 @@ from repro.obs.metrics import record as _metric_record
 
 class CompiledQuery:
     """One cached compilation: the pipeline stages for a single
-    ``(policy, query, optimize, strategy, use_index)`` combination.
+    ``(policy, query, optimize, height, strategy)`` combination.
 
     ``plan`` (whole-query execution) and ``projected`` (per-view-target
     plans for projected results) are built lazily by the engine on the
     first execution that needs them, so a cache entry never compiles
     plans a workload does not use.  ``timings`` maps stage names
     (``parse``, ``rewrite``, ``optimize``, ``compile``) to seconds
-    spent building this entry.  ``strategy`` and ``use_index`` record
-    the execution shape the entry was compiled for; both are part of
-    the cache key.  ``build_lock`` serializes the lazy plan builds so
+    spent building this entry.  ``strategy`` records the execution
+    shape the entry was compiled for; it is part of the cache key.  ``build_lock`` serializes the lazy plan builds so
     concurrent first executions of a shared entry compile once and
     then share the immutable plan."""
 
@@ -63,7 +61,6 @@ class CompiledQuery:
         "optimize",
         "height",
         "strategy",
-        "use_index",
         "parsed",
         "rewritten",
         "optimized",
@@ -88,14 +85,12 @@ class CompiledQuery:
         view,
         timings: Dict[str, float],
         strategy: str = "virtual",
-        use_index: bool = False,
     ):
         self.policy = policy
         self.query_text = query_text
         self.optimize = optimize
         self.height = height
         self.strategy = strategy
-        self.use_index = use_index
         self.parsed = parsed
         self.rewritten = rewritten
         self.optimized = optimized
@@ -115,7 +110,6 @@ class CompiledQuery:
             self.optimize,
             self.height,
             self.strategy,
-            self.use_index,
         )
 
     def __repr__(self):
@@ -186,8 +180,8 @@ class PlanCacheStats:
 class PlanCache:
     """Bounded LRU cache of :class:`CompiledQuery` entries.
 
-    Keys are ``(policy, query_text, optimize_flag, height, strategy,
-    use_index)`` tuples (the cache itself is key-agnostic — only the
+    Keys are ``(policy, query_text, optimize_flag, height, strategy)``
+    tuples (the cache itself is key-agnostic — only the
     leading policy component matters, for invalidation).  A
     ``capacity`` of 0 disables caching (every lookup misses, stores
     are dropped) without the engine needing a special case."""

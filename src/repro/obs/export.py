@@ -24,14 +24,6 @@ every sample line; the family's ``# TYPE`` header is emitted once.
 Metric names are sanitized to the Prometheus grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``); the dots of registry names map to
 underscores (``plan_cache.hits`` -> ``repro_plan_cache_hits_total``).
-
-Back-compat shim: before labels existed, the serving layer
-interpolated the tenant into the metric *name*
-(``serving.latency_seconds.<tenant>``).  For the series in
-:data:`LEGACY_TENANT_SERIES` the exporter also emits those old
-flattened summary names alongside the labeled form, so dashboards
-scraping ``repro_serving_latency_seconds_nurse_count`` keep working
-during migration.
 """
 
 from __future__ import annotations
@@ -45,16 +37,10 @@ __all__ = [
     "sanitize_metric_name",
     "publish_workload",
     "publish_cache_report",
-    "LEGACY_TENANT_SERIES",
 ]
 
 _INVALID_CHARACTERS = re.compile(r"[^a-zA-Z0-9_:]")
 _INVALID_START = re.compile(r"^[^a-zA-Z_:]")
-_TENANT_LABEL = re.compile(r'(?:^|,)tenant="([^"]*)"')
-
-#: Labeled histogram series that also export their pre-label
-#: tenant-in-the-name summary form (see the module docstring).
-LEGACY_TENANT_SERIES = ("serving.latency_seconds", "serving.e2e_seconds")
 
 
 def sanitize_metric_name(name: str) -> str:
@@ -157,14 +143,6 @@ def prometheus_text(snapshot, prefix: str = "repro") -> str:
             lines.append(_sample(metric + "_count", labels, histogram["count"]))
         else:
             _summary_lines(lines, metric, labels, histogram, typed)
-        if name in LEGACY_TENANT_SERIES:
-            tenant = _TENANT_LABEL.search(labels)
-            if tenant is not None:
-                legacy = "%s_%s" % (
-                    prefix,
-                    sanitize_metric_name("%s.%s" % (name, tenant.group(1))),
-                )
-                _summary_lines(lines, legacy, "", histogram, typed)
     return "\n".join(lines) + "\n" if lines else ""
 
 

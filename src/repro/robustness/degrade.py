@@ -7,7 +7,6 @@ correct slow path:
 seam                 failure                  fallback
 ===================  =======================  ======================
 ``store.build``      columnar NodeTable       object-tree backend
-``index.build``      DocumentIndex            subtree scans
 ``plan_cache.get``   cache lookup             uncached compile
 ``plan_cache.put``   cache prime              uncached next time
 ===================  =======================  ======================
@@ -34,7 +33,6 @@ __all__ = ["DegradationPolicy", "SEAM_FALLBACKS"]
 #: seam name -> human-readable fallback label (event payloads, docs).
 SEAM_FALLBACKS: Dict[str, str] = {
     "store.build": "object-backend",
-    "index.build": "scan",
     "plan_cache.get": "uncached-compile",
     "plan_cache.put": "uncached-compile",
 }
@@ -53,13 +51,11 @@ class DegradationPolicy:
         self,
         strict: bool = False,
         store_build: Optional[bool] = None,
-        index_build: Optional[bool] = None,
         plan_cache: Optional[bool] = None,
     ):
         default = not strict
         self._allowed = {
             "store.build": default if store_build is None else store_build,
-            "index.build": default if index_build is None else index_build,
             "plan_cache.get": default if plan_cache is None else plan_cache,
             "plan_cache.put": default if plan_cache is None else plan_cache,
         }

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, SecurityError
 from repro.robustness.faults import trip as fault_trip
-from repro.obs.events import ErrorEvent
 from repro.obs.flight import FlightRecorder, TraceRecord
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -476,29 +475,15 @@ class QueryServer(object):
                             tracer=tracer,
                         )
             except ReproError as error:
-                # Admission failures happen outside the engine, so mirror
-                # its audit behaviour here for event parity.
-                if engine.events.active:
-                    engine.events.emit(
-                        ErrorEvent(
-                            policy=request.policy,
-                            query=request.query,
-                            code=getattr(error, "code", ""),
-                            message=str(error),
-                            trace_id=request.trace_id,
-                        )
-                    )
-                if self.workload is not None:
-                    try:
-                        from repro.xpath.fingerprint import query_fingerprint
-
-                        self.workload.record_error(
-                            request.tenant_id,
-                            request.policy,
-                            query_fingerprint(request.query),
-                        )
-                    except Exception:
-                        _record("workload.failures")
+                # admission failures happen outside the engine; account
+                # for them through the engine's one failure path
+                engine.record_failure(
+                    request.policy,
+                    request.query,
+                    error,
+                    trace_id=request.trace_id or "",
+                    tenant=request.tenant_id,
+                )
                 response = QueryResponse.from_error(request, error)
             except BaseException as error:  # never leak through a future
                 response = QueryResponse.from_error(request, error)

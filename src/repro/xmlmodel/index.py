@@ -7,8 +7,10 @@ instead of a subtree scan — the access pattern that dominates ``//``
 evaluation (and thus the naive baseline of Section 6).
 
 The index is immutable with respect to the document: rebuild it after
-structural updates (document mutation is out of the paper's scope; the
-engine's ``invalidate`` hook covers the cached case).
+structural updates (document mutation is out of the paper's scope).
+It is a standalone structure: the engine's plans use the columnar
+:class:`~repro.xmlmodel.store.NodeTable` postings for the same
+``//label`` access pattern.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ that makes structural joins possible:
 
 The table is immutable with respect to the document, exactly like
 :class:`~repro.xmlmodel.index.DocumentIndex`: rebuild after structural
-updates (the engine caches both per document and drops both in
+updates (the engine caches one per document and drops it in
 ``invalidate``).  ``nodes[r]`` maps a row back to the original node
 object, so columnar results are the *same* objects the interpreter
 returns.

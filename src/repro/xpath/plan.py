@@ -32,14 +32,13 @@ Design constraints:
   returns the *same node objects in the same (document) order*; its
   ``visits`` counter measures columnar work (rows scanned/emitted), so
   it is comparable across columnar runs but not with the interpreter.
-* **Index awareness.**  A plan is compiled once and executed against
-  many documents.  Whether a :class:`~repro.xmlmodel.index.DocumentIndex`
-  or a :class:`~repro.xmlmodel.store.NodeTable` is available is a
-  property of the *execution*, not the plan: the descendant operator
-  precomputes its ``//label`` fast-path shape at compile time and
-  consults the runtime's index/store when one is attached, falling
-  back to a subtree walk otherwise (or when a context node lies
-  outside the indexed tree).
+* **Store awareness.**  A plan is compiled once and executed against
+  many documents.  Whether a :class:`~repro.xmlmodel.store.NodeTable`
+  is available is a property of the *execution*, not the plan: the
+  descendant operator precomputes its ``//label`` posting-slice shape
+  at compile time and uses it when the runtime carries a store; the
+  object backend walks the subtree (as it does when a context node
+  lies outside the store's tree).
 * **Shared accounting.**  A single :class:`PlanRuntime` may be passed
   through several ``execute`` calls (the engine's projected evaluation
   runs one plan per view target); ``visits`` accumulates across them.
@@ -85,13 +84,12 @@ from repro.xpath.ast import (
 from repro.xpath.evaluator import (
     _VirtualDocumentNode,
     _document_order,
-    _peel_label,
 )
 
 
 class PlanRuntime:
-    """Per-execution state: the optional document index, the optional
-    columnar :class:`~repro.xmlmodel.store.NodeTable`, the optional
+    """Per-execution state: the optional columnar
+    :class:`~repro.xmlmodel.store.NodeTable`, the optional
     per-operator profile collector, and the accumulated visit counter.
 
     Attaching a ``store`` selects the columnar backend for every
@@ -122,12 +120,10 @@ class PlanRuntime:
     given document (preorder), so entries stay valid even across a
     NodeTable rebuild of the same document mid-batch."""
 
-    __slots__ = ("index", "store", "visits", "profile", "budget",
-                 "scan_cache")
+    __slots__ = ("store", "visits", "profile", "budget", "scan_cache")
 
-    def __init__(self, index=None, store=None, profile=None, budget=None,
+    def __init__(self, store=None, profile=None, budget=None,
                  scan_cache=None):
-        self.index = index
         self.store = store
         self.visits = 0
         self.profile = profile
@@ -469,9 +465,9 @@ class SlashOp(_Op):
 
 
 class DescendantOp(_Op):
-    """``//p``: walks descendant-or-self, or — when the inner path has
-    the ``label[q1][q2]...`` shape and an index is attached — answers
-    via two binary searches per context."""
+    """``//p``: walks descendant-or-self on the object backend; on
+    the columnar backend an inner path of the ``label[q1][q2]...``
+    shape slices the label's posting list instead."""
 
     __slots__ = ("inner", "fast_label", "fast_qualifiers")
 
@@ -482,16 +478,6 @@ class DescendantOp(_Op):
 
     def run(self, rt, contexts):
         budget = rt.budget
-        if rt.index is not None and self.fast_label is not None:
-            fast = self._fast(rt, contexts)
-            if fast is not None:
-                if budget is not None:
-                    budget.checkpoint(rt.visits, len(fast))
-                if rt.profile is not None:
-                    rt.profile.record(
-                        self, len(contexts), len(fast), kernel="index-posting"
-                    )
-                return fast
         results = self.inner.run(rt, self._descendants_or_self(rt, contexts))
         if budget is not None:
             budget.checkpoint(rt.visits, len(results))
@@ -499,41 +485,6 @@ class DescendantOp(_Op):
             rt.profile.record(
                 self, len(contexts), len(results), kernel="subtree-walk"
             )
-        return results
-
-    def _fast(self, rt, contexts):
-        index = rt.index
-        label = self.fast_label
-        ordered = []
-        seen = set()
-        for node in contexts:
-            if node.is_text:
-                continue
-            if isinstance(node, _VirtualDocumentNode):
-                root = node.children[0]
-                if not index.covers(root):
-                    return None
-                hits = index.descendants_with_label(root, label)
-                if root.label == label:
-                    hits = [root] + hits
-            elif not index.covers(node):
-                return None  # context outside the indexed tree
-            else:
-                hits = index.descendants_with_label(node, label)
-            for element in hits:
-                position = index.position(element)
-                if position not in seen:
-                    seen.add(position)
-                    ordered.append((position, element))
-        rt.visits += len(ordered)
-        ordered.sort(key=lambda pair: pair[0])
-        results = [element for _, element in ordered]
-        for qualifier in self.fast_qualifiers:
-            results = [
-                element
-                for element in results
-                if qualifier.test(rt, element)
-            ]
         return results
 
     @staticmethod
@@ -1070,6 +1021,19 @@ class NotQOp(_QOp):
 # allocations happen once per distinct query.
 
 
+def _peel_label(inner):
+    """Decompose ``Label`` / ``Label[q1][q2]...`` into (label name,
+    qualifiers); (None, ()) when the shape does not match."""
+    qualifiers = []
+    current = inner
+    while isinstance(current, Qualified):
+        qualifiers.append(current.qualifier)
+        current = current.path
+    if isinstance(current, Label):
+        return current.name, tuple(reversed(qualifiers))
+    return None, ()
+
+
 def _compile_path(path: Path) -> _Op:
     if isinstance(path, Empty):
         return EmptyOp()
@@ -1136,7 +1100,7 @@ class CompiledPlan:
 
     A plan is immutable and document-independent: compile once per
     (rewritten, optimized) query, execute against any document, with
-    or without an attached index."""
+    on either backend."""
 
     __slots__ = ("path", "_op", "operator_count")
 
@@ -1160,23 +1124,22 @@ class CompiledPlan:
     def execute(
         self,
         context,
-        index=None,
         ordered: bool = False,
         runtime: Optional[PlanRuntime] = None,
         store=None,
     ) -> List:
         """Evaluate the plan at a context node (or list of nodes).
 
-        Pass a :class:`PlanRuntime` to share visit accounting (and an
-        index or columnar store) across several plan executions;
-        otherwise a fresh runtime wrapping ``index``/``store`` is used.
+        Pass a :class:`PlanRuntime` to share visit accounting (and a
+        columnar store) across several plan executions; otherwise a
+        fresh runtime wrapping ``store`` is used.
 
         With a :class:`~repro.xmlmodel.store.NodeTable` attached the
         plan runs on the columnar backend — set-at-a-time kernels over
         sorted row frontiers — and falls back to the object backend
         for contexts the store does not cover (e.g. nodes of a
         different tree)."""
-        rt = runtime if runtime is not None else PlanRuntime(index, store)
+        rt = runtime if runtime is not None else PlanRuntime(store)
         contexts = context if isinstance(context, list) else [context]
         if rt.store is not None:
             rows = self._rows_for(rt.store, contexts)
@@ -1200,7 +1163,7 @@ class CompiledPlan:
             if not isinstance(node, _VirtualDocumentNode)
         ]
         if ordered and results:
-            results = self._order(results, rt.index)
+            results = _document_order(results)
         return results
 
     @staticmethod
@@ -1221,12 +1184,6 @@ class CompiledPlan:
                     return None
                 rows.add(row)
         return sorted(rows)
-
-    @staticmethod
-    def _order(results: List, index) -> List:
-        if index is not None and all(index.covers(node) for node in results):
-            return index.document_order_sort(results)
-        return _document_order(results)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,6 @@ class TestSeamFaults:
         canary = engine.enable_canary(sample_rate=1.0)
         plan = FaultPlan(
             FaultSpec("store.build", every=1),
-            FaultSpec("index.build", every=1),
             FaultSpec("plan_cache.get", every=1),
             FaultSpec("plan_cache.put", every=1),
             name="total-accelerator-outage",

@@ -2,7 +2,7 @@
 
 One engine, many threads: the serving layer shares a single
 :class:`SecureQueryEngine` across a pool, so its caches (`_stores`,
-`_indexes`, the plan cache, materialized views) and policy table must
+the plan cache, materialized views) and policy table must
 tolerate concurrent queries, and concurrent administration
 (``register_policy`` / ``invalidate``) against in-flight queries must
 yield either a typed error or a consistent answer — never corruption,
@@ -42,8 +42,8 @@ OPTION_MATRIX = (
     ExecutionOptions(),
     ExecutionOptions(strategy="columnar"),
     ExecutionOptions(strategy="materialized"),
-    ExecutionOptions(use_index=True),
-    ExecutionOptions(strategy="columnar", use_index=True),
+    ExecutionOptions(strategy="columnar", use_cache=False),
+    ExecutionOptions(strategy="materialized", use_cache=False),
     ExecutionOptions(use_cache=False),
 )
 
@@ -121,12 +121,12 @@ class TestConcurrentQuerying:
         _hammer(worker)
 
     def test_cold_cache_stampede_builds_once_each(self):
-        """All threads racing the same cold (store, index, plan) keys:
+        """All threads racing the same cold (store, plan) keys:
         answers agree and the immutable-after-build caches hold exactly
         one artifact per key afterwards."""
         engine = _build_engine()
         document = hospital_document(seed=3, max_branch=4)
-        options = ExecutionOptions(strategy="columnar", use_index=True)
+        options = ExecutionOptions(strategy="columnar")
         expected = _canonical(
             _build_engine().query(
                 "nurse", "//patient//bill", document, options=options
@@ -141,7 +141,6 @@ class TestConcurrentQuerying:
 
         _hammer(worker)
         assert len(engine._stores) == 1
-        assert len(engine._indexes) == 1
 
     def test_query_batch_from_many_threads(self):
         engine = _build_engine()
@@ -189,13 +188,55 @@ class TestAdminRaces:
         assert len(losses) == THREADS - 1
         assert "contested" in engine.policies()
 
+    def test_reregistered_policy_never_served_a_stale_plan(
+        self, monkeypatch
+    ):
+        """A compile in flight across ``drop_policy`` +
+        ``register_policy`` of the same name must not cache the old
+        spec's plan for the new policy: the in-flight query answers
+        under the old policy, the next query compiles afresh."""
+        from repro.core.rewrite import Rewriter
+
+        dtd = hospital_dtd()
+        document = hospital_document(seed=13, max_branch=4)
+        engine = SecureQueryEngine(dtd)
+        engine.register_policy("p", doctor_spec(dtd))
+        entered = threading.Event()
+        release = threading.Event()
+        rewrite = Rewriter.rewrite
+
+        def blocking_rewrite(self, query):
+            if threading.current_thread().name == "stale-compile":
+                entered.set()
+                assert release.wait(10)
+            return rewrite(self, query)
+
+        monkeypatch.setattr(Rewriter, "rewrite", blocking_rewrite)
+        answers = {}
+
+        def stale_query():
+            answers["stale"] = engine.query("p", "//patient/name", document)
+
+        thread = threading.Thread(target=stale_query, name="stale-compile")
+        thread.start()
+        assert entered.wait(10)
+        engine.drop_policy("p")
+        engine.register_policy("p", nurse_spec(dtd), wardNo="9")
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert len(answers["stale"]) == 13  # the doctor's view
+        fresh = engine.query("p", "//patient/name", document)
+        assert not fresh.report.cache_hit
+        assert fresh == []  # the nurse of ward 9 sees no patient
+
     def test_invalidate_races_inflight_queries(self):
         """invalidate() storms while queries are in flight: every query
         either answers consistently or raises a typed ReproError; the
         engine stays usable afterwards."""
         engine = _build_engine()
         document = hospital_document(seed=7, max_branch=4)
-        options = ExecutionOptions(strategy="columnar", use_index=True)
+        options = ExecutionOptions(strategy="columnar")
         expected = _canonical(
             _build_engine().query(
                 "nurse", "//patient/name", document, options=options

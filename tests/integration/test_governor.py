@@ -186,23 +186,6 @@ class TestDegradation:
         assert event.code == "E_FAULT"
         assert event.policy == "nurse"
 
-    def test_index_build_fault_degrades_to_scan(self, hospital_doc):
-        engine = nurse_engine()
-        ring = engine.add_sink(RingBufferSink(capacity=64))
-        baseline = engine.query("nurse", "//patient/name", hospital_doc)
-        with FaultPlan(FaultSpec("index.build", at=1)):
-            result = engine.query(
-                "nurse",
-                "//patient/name",
-                hospital_doc,
-                options=ExecutionOptions(use_index=True),
-            )
-        assert [str(r) for r in result.results] == [
-            str(r) for r in baseline.results
-        ]
-        events = ring.events(kind="degradation")
-        assert [e.fallback for e in events] == ["scan"]
-
     def test_plan_cache_faults_degrade_to_uncached_compile(self, hospital_doc):
         engine = nurse_engine()
         ring = engine.add_sink(RingBufferSink(capacity=64))

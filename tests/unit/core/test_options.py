@@ -34,24 +34,25 @@ class TestExecutionOptions:
         options = ExecutionOptions()
         assert options.strategy == "virtual"
         assert options.optimize and options.project and options.use_cache
-        assert not options.use_index
         assert options == DEFAULT_OPTIONS
 
-    def test_legacy_strategy_alias_normalized(self):
-        assert ExecutionOptions(strategy="rewrite").strategy == "virtual"
+    def test_legacy_strategy_alias_rejected(self):
+        """The pre-2.0 spelling ``"rewrite"`` was removed in 3.0."""
+        with pytest.raises(SecurityError):
+            ExecutionOptions(strategy="rewrite")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SecurityError):
             ExecutionOptions(strategy="magic")
 
     def test_with_copies(self):
-        options = ExecutionOptions().with_(use_index=True)
-        assert options.use_index
-        assert not DEFAULT_OPTIONS.use_index
+        options = ExecutionOptions().with_(use_cache=False)
+        assert not options.use_cache
+        assert DEFAULT_OPTIONS.use_cache
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            ExecutionOptions().use_index = True
+            ExecutionOptions().use_cache = False
 
 
 class TestQueryResult:
@@ -178,7 +179,7 @@ class TestOptionsWireShape:
 
         options = ExecutionOptions(
             strategy="columnar",
-            use_index=True,
+            use_cache=False,
             trace=True,
             slow_query_threshold=0.25,
             limits=QueryLimits(deadline_seconds=0.5, max_results=10),
@@ -190,6 +191,6 @@ class TestOptionsWireShape:
 
     def test_unknown_keys_ignored(self):
         options = ExecutionOptions.from_dict(
-            {"strategy": "columnar", "future_knob": 42}
+            {"strategy": "columnar", "future_knob": 42, "use_index": True}
         )
         assert options.strategy == "columnar"

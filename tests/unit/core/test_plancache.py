@@ -274,20 +274,16 @@ class TestExecutionShapeKeys:
         assert warm.report.cache_hit
         assert warm.report.strategy == "columnar"
 
-    def test_index_flip_on_warm_cache_misses(self, engine, document):
+    def test_materialized_flip_on_warm_cache_misses(self, engine, document):
         engine.query("nurse", "//patient", document)
-        indexed = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(use_index=True),
+        materialized = ExecutionOptions(strategy="materialized")
+        flipped = engine.query(
+            "nurse", "//patient", document, options=materialized
         )
-        assert not indexed.report.cache_hit
+        assert not flipped.report.cache_hit
+        assert flipped.report.rewritten == flipped.report.original
         assert engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(use_index=True),
+            "nurse", "//patient", document, options=materialized
         ).report.cache_hit
 
     def test_keys_record_execution_shape(self, engine, document):
@@ -296,11 +292,11 @@ class TestExecutionShapeKeys:
             "nurse",
             "//patient",
             document,
-            options=ExecutionOptions(strategy="columnar", use_index=True),
+            options=ExecutionOptions(strategy="columnar"),
         )
         keys = engine.plan_cache.keys()
-        assert ("nurse", "//patient", True, None, "virtual", False) in keys
-        assert ("nurse", "//patient", True, None, "columnar", True) in keys
+        assert ("nurse", "//patient", True, None, "virtual") in keys
+        assert ("nurse", "//patient", True, None, "columnar") in keys
 
     def test_columnar_without_cache_does_not_prime(self, engine, document):
         result = engine.query(

@@ -44,15 +44,16 @@ class TestStageTimings:
         assert report.cache_hit
         assert "evaluate" in report.timings
 
-    def test_interpreter_path_has_no_compile_stage(self, engine, document):
+    def test_uncached_path_compiles_fresh(self, engine, document):
+        """``use_cache=False`` runs the plan path: every stage,
+        ``compile`` included, is paid by this request."""
+        uncached = ExecutionOptions(use_cache=False)
+        engine.query("nurse", "//patient", document, options=uncached)
         report = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(use_cache=False),
+            "nurse", "//patient", document, options=uncached
         ).report
-        assert "compile" not in report.timings
-        assert {"parse", "rewrite", "optimize", "evaluate"} <= set(
+        assert not report.cache_hit
+        assert {"parse", "rewrite", "optimize", "compile", "evaluate"} <= set(
             report.timings
         )
 

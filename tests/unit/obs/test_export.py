@@ -1,7 +1,6 @@
 """Prometheus text-exposition export of metrics snapshots."""
 
 from repro.obs.export import (
-    LEGACY_TENANT_SERIES,
     prometheus_text,
     publish_cache_report,
     publish_workload,
@@ -112,65 +111,18 @@ class TestLabeledExport:
         assert 'repro_lat_bucket{le="1.0"} 0' in text
         assert 'repro_lat_bucket{le="+Inf"} 1' in text
 
-    def test_legacy_tenant_shim_emits_old_flattened_names(self):
-        registry = MetricsRegistry()
-        for name in LEGACY_TENANT_SERIES:
-            registry.observe(
-                name, 0.02, labels={"tenant": "nurse"}, buckets=LATENCY_BUCKETS
-            )
-        text = prometheus_text(registry)
-        # new labeled histogram form...
-        assert 'repro_serving_latency_seconds_bucket{tenant="nurse",le=' in text
-        # ...plus the pre-label tenant-in-the-name summary names
-        assert "repro_serving_latency_seconds_nurse_count 1" in text
-        assert "repro_serving_latency_seconds_nurse_sum" in text
-        assert "repro_serving_latency_seconds_nurse_min" in text
-        assert "repro_serving_e2e_seconds_nurse_count 1" in text
-
-    def test_legacy_shim_skips_series_without_tenant_label(self):
-        registry = MetricsRegistry()
-        registry.observe("serving.latency_seconds", 0.02)
-        text = prometheus_text(registry)
-        assert "repro_serving_latency_seconds_count 1" in text
-        # no tenant label: nothing flattened beyond the plain series
-        assert "repro_serving_latency_seconds__count" not in text
-
-    def test_legacy_shim_ignores_non_tenant_labels(self):
+    def test_tenant_series_render_only_labeled(self):
+        """A tenant is a label, never part of the metric name."""
         registry = MetricsRegistry()
         registry.observe(
             "serving.latency_seconds",
-            0.02,
-            labels={"region": "eu"},
-            buckets=LATENCY_BUCKETS,
-        )
-        text = prometheus_text(registry)
-        assert 'repro_serving_latency_seconds_bucket{region="eu"' in text
-        assert "repro_serving_latency_seconds_eu" not in text
-
-    def test_legacy_shim_sanitizes_tenant_names(self):
-        registry = MetricsRegistry()
-        registry.observe(
-            "serving.latency_seconds",
-            0.02,
-            labels={"tenant": "real-estate-buyer"},
-            buckets=LATENCY_BUCKETS,
-        )
-        text = prometheus_text(registry)
-        assert (
-            "repro_serving_latency_seconds_real_estate_buyer_count 1" in text
-        )
-
-    def test_legacy_shim_not_applied_to_other_series(self):
-        registry = MetricsRegistry()
-        registry.observe(
-            "workload.latency_seconds",
             0.02,
             labels={"tenant": "nurse"},
             buckets=LATENCY_BUCKETS,
         )
         text = prometheus_text(registry)
-        assert 'repro_workload_latency_seconds_bucket{tenant="nurse"' in text
-        assert "repro_workload_latency_seconds_nurse" not in text
+        assert 'repro_serving_latency_seconds_bucket{tenant="nurse",le=' in text
+        assert "repro_serving_latency_seconds_nurse" not in text
 
 
 class TestPublishWorkload:

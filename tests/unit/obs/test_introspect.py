@@ -54,7 +54,7 @@ class TestEngineReport:
             "nurse",
             "//patient/name",
             document,
-            options=ExecutionOptions(use_index=True, strategy="columnar"),
+            options=ExecutionOptions(strategy="columnar"),
         )
         engine.query(
             "nurse",
@@ -67,8 +67,12 @@ class TestEngineReport:
         assert report["node_tables"]["entries"] == 1
         assert report["node_tables"]["rows"] > 0
         assert report["node_tables"]["bytes"] > 0
-        assert report["document_indexes"]["entries"] == 1
-        assert report["document_indexes"]["bytes"] > 0
+        assert set(report) == {
+            "plan_cache",
+            "node_tables",
+            "materialized_views",
+            "total_bytes",
+        }
         views = report["materialized_views"]
         assert views["entries"] == 1
         assert views["nodes"] > 0
@@ -96,12 +100,12 @@ class TestEngineReport:
             "nurse",
             "//patient/name",
             document,
-            options=ExecutionOptions(use_index=True),
+            options=ExecutionOptions(strategy="columnar"),
         )
-        assert engine.introspect()["document_indexes"]["entries"] == 1
+        assert engine.introspect()["node_tables"]["entries"] == 1
         engine.invalidate()
         report = engine.introspect()
-        assert report["document_indexes"]["entries"] == 0
+        assert report["node_tables"]["entries"] == 0
         assert report["plan_cache"]["entries"] == 0
 
 

@@ -24,13 +24,13 @@ class TestOverrides:
     def test_strict_with_store_build_carveout(self):
         policy = DegradationPolicy(strict=True, store_build=True)
         assert policy.allows("store.build")
-        assert not policy.allows("index.build")
         assert not policy.allows("plan_cache.get")
+        assert not policy.allows("plan_cache.put")
 
     def test_disable_one_seam(self):
-        policy = DegradationPolicy(index_build=False)
-        assert not policy.allows("index.build")
-        assert policy.allows("store.build")
+        policy = DegradationPolicy(store_build=False)
+        assert not policy.allows("store.build")
+        assert policy.allows("plan_cache.get")
 
     def test_plan_cache_controls_both_directions(self):
         policy = DegradationPolicy(plan_cache=False)
@@ -42,7 +42,6 @@ class TestFallbacks:
     def test_fallback_labels(self):
         policy = DegradationPolicy()
         assert policy.fallback("store.build") == "object-backend"
-        assert policy.fallback("index.build") == "scan"
         assert policy.fallback("plan_cache.get") == "uncached-compile"
         assert policy.fallback("plan_cache.put") == "uncached-compile"
         assert policy.fallback("mystery") == "none"

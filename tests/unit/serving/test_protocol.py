@@ -45,7 +45,7 @@ class TestQueryRequest:
             tenant="ward-2",
             options=ExecutionOptions(
                 strategy="columnar",
-                use_index=True,
+                use_cache=False,
                 limits=QueryLimits(deadline_seconds=0.5),
             ),
             request_id="r42",

@@ -87,6 +87,36 @@ class TestQueryServer:
         assert not response.ok
         assert response.error_code == "E_ADMISSION"
 
+    def test_admission_failure_audited_through_engine(self, document):
+        """A request refused before it reaches the engine is accounted
+        for exactly like an engine failure: one audit ErrorEvent with
+        its trace id, and one profiler error for its tenant."""
+        from repro.robustness.faults import FaultPlan, FaultSpec
+
+        dtd = hospital_dtd()
+        engine = SecureQueryEngine(dtd)
+        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
+        sink = engine.add_sink(RingBufferSink(capacity=16))
+        catalog = EngineCatalog().add("hospital", engine, document)
+        with QueryServer(catalog, workers=1) as server:
+            with FaultPlan(FaultSpec("admission.admit", at=1)):
+                response = server.query(
+                    QueryRequest(
+                        policy="nurse",
+                        query="//patient",
+                        document="hospital",
+                        tenant="ward-2",
+                        trace_id="t-admit",
+                    )
+                )
+            report = server.workload.report()
+        assert response.error_code == "E_FAULT"
+        events = sink.events(kind="error")
+        assert [(e.code, e.trace_id) for e in events] == [
+            ("E_FAULT", "t-admit")
+        ]
+        assert report["tenants"]["ward-2"]["errors"] == 1
+
     def test_batch_coalescing_preserves_answers(self, catalog, engine, document):
         columnar = ExecutionOptions(strategy="columnar")
         texts = ["//patient/name", "//patient//bill", "//patient/name"] * 4

@@ -8,10 +8,14 @@ as its defining module).
 """
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
 
 #: Subpackages a bare ``import repro`` must NOT load.
 HEAVY_MODULES = (
@@ -72,7 +76,18 @@ class TestLazyImport:
         assert "repro.core" in set(probe["after"])
 
     def test_version(self, probe):
-        assert probe["version"] == "2.3.0"
+        assert probe["version"] == "3.0.0"
+
+    def test_version_matches_pyproject(self, probe):
+        """The package metadata and ``repro.__version__`` agree (read
+        with a regex: Python 3.9 has no ``tomllib``)."""
+        match = re.search(
+            r'^version\s*=\s*"([^"]+)"',
+            PYPROJECT.read_text(encoding="utf-8"),
+            re.MULTILINE,
+        )
+        assert match is not None
+        assert match.group(1) == probe["version"]
 
 
 class TestFacadeCompleteness:

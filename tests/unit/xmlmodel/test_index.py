@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.options import ExecutionOptions
 from repro.xmlmodel.index import DocumentIndex, build_index
 from repro.xmlmodel.parser import parse_document
-
-INDEXED = ExecutionOptions(use_index=True)
 
 DOC = """
 <lib>
@@ -136,6 +133,9 @@ class TestLabelQueries:
 
 
 class TestEvaluatorIntegration:
+    """The index stands alone; these cross-check it against the
+    interpreter, the reference evaluator."""
+
     QUERIES = [
         "//title",
         "//book/title",
@@ -148,77 +148,46 @@ class TestEvaluatorIntegration:
 
     @pytest.mark.parametrize("text", QUERIES)
     def test_indexed_evaluation_equivalent(self, tree, index, text):
+        """Sorting an unordered answer by the index's preorder gives
+        the interpreter's document order."""
         from repro.xpath.evaluator import XPathEvaluator
         from repro.xpath.parser import parse_xpath
 
         query = parse_xpath(text)
-        plain = XPathEvaluator()
-        fast = XPathEvaluator(index=index)
-        expected = [id(n) for n in plain.evaluate(query, tree, ordered=True)]
-        actual = [id(n) for n in fast.evaluate(query, tree, ordered=True)]
-        assert expected == actual, text
+        evaluator = XPathEvaluator()
+        expected = evaluator.evaluate(query, tree, ordered=True)
+        actual = index.document_order_sort(evaluator.evaluate(query, tree))
+        assert [id(n) for n in actual] == [id(n) for n in expected], text
 
-    def test_index_reduces_visits(self, index):
+    def test_index_reduces_visits(self):
+        """A ``//label`` answer read off the index touches only its
+        hits, a small fraction of the interpreter's subtree walk."""
         from repro.workloads.adex import adex_document
         from repro.xpath.evaluator import XPathEvaluator
         from repro.xpath.parser import parse_xpath
 
         document = adex_document(seed=2, buyers=30, ads=120)
         big_index = build_index(document)
-        query = parse_xpath("//r-e.warranty")
         plain = XPathEvaluator()
-        plain.evaluate(query, document)
-        fast = XPathEvaluator(index=big_index)
-        fast.evaluate(query, document)
-        assert fast.visits < plain.visits / 10
+        expected = plain.evaluate(
+            parse_xpath("//r-e.warranty"), document, ordered=True
+        )
+        hits = big_index.descendants_with_label(document, "r-e.warranty")
+        assert [id(n) for n in hits] == [id(n) for n in expected]
+        assert len(hits) < plain.visits / 10
 
     def test_foreign_context_falls_back(self, tree, index):
+        """Nodes of another tree are uncovered: label lookups find
+        nothing and sorting keeps their input order, while the
+        interpreter still answers over that tree."""
         from repro.xmlmodel.parser import parse_document as parse
         from repro.xpath.evaluator import XPathEvaluator
         from repro.xpath.parser import parse_xpath
 
         other = parse("<lib><shelf><book><title>z</title></book></shelf></lib>")
-        fast = XPathEvaluator(index=index)  # index of the OTHER tree
-        result = fast.evaluate(parse_xpath("//title"), other)
+        result = XPathEvaluator().evaluate(parse_xpath("//title"), other)
         assert [node.string_value() for node in result] == ["z"]
-
-
-class TestEngineIntegration:
-    def test_use_index_equivalent_results(self):
-        from repro.workloads.hospital import (
-            hospital_document,
-            hospital_dtd,
-            nurse_spec,
-        )
-        from repro.core.engine import SecureQueryEngine
-        from repro.xmlmodel.serialize import serialize
-
-        dtd = hospital_dtd()
-        engine = SecureQueryEngine(dtd)
-        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
-        document = hospital_document(seed=7, max_branch=4)
-        for text in ("//patient/name", "//dummy2/medication"):
-            plain = engine.query("nurse", text, document)
-            indexed = engine.query(
-                "nurse", text, document, options=INDEXED
-            )
-            assert [serialize(a) for a in plain] == [
-                serialize(b) for b in indexed
-            ]
-
-    def test_invalidate_clears_index_cache(self):
-        from repro.workloads.hospital import (
-            hospital_document,
-            hospital_dtd,
-            nurse_spec,
-        )
-        from repro.core.engine import SecureQueryEngine
-
-        dtd = hospital_dtd()
-        engine = SecureQueryEngine(dtd)
-        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
-        document = hospital_document(seed=7)
-        engine.query("nurse", "//patient", document, options=INDEXED)
-        assert engine._indexes
-        engine.invalidate()
-        assert not engine._indexes
+        assert not any(index.covers(node) for node in other.iter_elements())
+        assert index.descendants_with_label(other, "title") == []
+        books = other.find_all("book")
+        assert index.document_order_sort(result + books) == result + books

@@ -1,6 +1,7 @@
 """Compiled plans must be drop-in equivalents of the interpreter:
 identical result lists (content *and* order) and identical ``visits``
-counters, with and without a document index."""
+counters; their document order agrees with a standalone
+:class:`~repro.xmlmodel.index.DocumentIndex`."""
 
 import pytest
 
@@ -55,15 +56,15 @@ def test_plan_matches_interpreter(document, text, ordered):
 
 @pytest.mark.parametrize("text", QUERIES)
 def test_plan_matches_interpreter_with_index(document, index, text):
+    """The ordered plan answer equals the interpreter's, and both equal
+    the unordered answer sorted by the document index's preorder."""
     query = parse_xpath(text)
-    evaluator = XPathEvaluator(index=index)
-    expected = evaluator.evaluate(query, document, ordered=True)
-    runtime = PlanRuntime(index)
-    actual = compile_path(query).execute(
-        document, ordered=True, runtime=runtime
-    )
+    plan = compile_path(query)
+    actual = plan.execute(document, ordered=True)
+    expected = XPathEvaluator().evaluate(query, document, ordered=True)
+    by_index = index.document_order_sort(plan.execute(document))
     assert [id(node) for node in actual] == [id(node) for node in expected]
-    assert runtime.visits == evaluator.visits
+    assert [id(node) for node in by_index] == [id(node) for node in actual]
 
 
 def test_plan_reusable_across_documents():
@@ -74,16 +75,6 @@ def test_plan_reusable_across_documents():
             parse_xpath("//patient/name"), document
         )
         assert len(plan.execute(document)) == len(expected)
-
-
-def test_index_fallback_outside_indexed_tree(document):
-    """Contexts outside the indexed tree silently fall back to walks."""
-    other = hospital_document(seed=23, max_branch=3)
-    index = build_index(document)
-    plan = compile_path(parse_xpath("//patient"))
-    walked = plan.execute(other)  # no index at all
-    indexed = plan.execute(other, index=index)  # index of the wrong tree
-    assert [id(node) for node in indexed] == [id(node) for node in walked]
 
 
 def test_runtime_accumulates_across_executions(document):
