@@ -44,12 +44,7 @@ from __future__ import annotations
 from threading import Lock, RLock
 from typing import Dict, List, Optional, Sequence, Union as TypingUnion
 
-from repro.errors import (
-    QueryRejectedError,
-    ReproError,
-    SecurityError,
-    error_code,
-)
+from repro.errors import QueryRejectedError, SecurityError, error_code
 from repro.obs.canary import SecurityCanary
 from repro.obs.events import (
     DegradationEvent,
@@ -63,6 +58,7 @@ from repro.obs.events import (
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import metrics_enabled, metrics_registry, record
 from repro.obs.profile import ExplainProfile, ProfileCollector, ProfileNode
+from repro.obs.record import Publisher, RequestRecord
 from repro.obs.trace import Tracer
 from repro.dtd.dtd import DTD
 from repro.core.derive import derive
@@ -86,6 +82,10 @@ from repro.xpath.ast import Absolute, Label, Path
 from repro.xpath.fingerprint import query_fingerprint
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import PlanRuntime, compile_path
+
+
+#: Report stages a plan-cache hit copies from its entry's compilation.
+_COMPILE_STAGES = frozenset(("parse", "rewrite", "optimize", "compile"))
 
 
 class _KeyedLocks:
@@ -321,6 +321,9 @@ class SecureQueryEngine:
         # workload heavy-hitter profiler; None (one attribute check on
         # the hot path) until enable_workload_profiler attaches one
         self._workload = None
+        self.publisher = Publisher(
+            self._to_metrics, self._to_profiler, self._to_audit
+        )
         # concurrency: administrative mutation holds _admin_lock;
         # per-key artifact builds hold their _build_locks entry (see
         # the module docstring and docs/serving.md)
@@ -439,7 +442,7 @@ class SecureQueryEngine:
         ``options=ExecutionOptions(...)`` (see ``docs/api.md``).
         """
         options = self._resolve_options(options)
-        return self._query_one(policy, query, document, options, None)
+        return self._query_one(policy, query, document, options)
 
     def query_batch(
         self,
@@ -483,9 +486,9 @@ class SecureQueryEngine:
         against the (caller-resolved) ``document``, returning a
         :class:`~repro.serving.protocol.QueryResponse`.
 
-        Unlike :meth:`query`, library errors do not propagate: any
-        :class:`~repro.errors.ReproError` becomes an error response
-        carrying the stable code — the wire contract of the serving
+        Unlike :meth:`query`, failures do not propagate: any exception
+        becomes an error response carrying its stable code and the
+        request's ``record`` — the wire contract of the serving
         layer.  ``scan_cache`` lets a caller thread one batch scan
         cache through several calls (see :meth:`execute_batch`); a
         caller-supplied ``tracer`` (the serving layer's per-request
@@ -494,20 +497,12 @@ class SecureQueryEngine:
         from repro.serving.protocol import QueryResponse
 
         options = self._resolve_options(request.options)
-        try:
-            result = self._query_one(
-                request.policy,
-                request.query,
-                document,
-                options,
-                scan_cache,
-                tracer=tracer,
-                trace_id=request.trace_id or "",
-                tenant=request.tenant_id,
-            )
-        except ReproError as error:
-            return QueryResponse.from_error(request, error)
-        return QueryResponse.from_result(request, result)
+        result, record, error = self._answer(
+            request, document, options, scan_cache, tracer
+        )
+        if error is not None:
+            return QueryResponse.from_error(request, error, record)
+        return QueryResponse.from_result(request, result, record)
 
     def execute_batch(self, requests: Sequence, document) -> List:
         """Answer several :class:`~repro.serving.protocol.QueryRequest`
@@ -527,93 +522,56 @@ class SecureQueryEngine:
         query: TypingUnion[str, Path],
         document,
         options: ExecutionOptions,
-        scan_cache: Optional[dict],
-        tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-        tenant: Optional[str] = None,
+        scan_cache: Optional[dict] = None,
     ) -> QueryResult:
-        """The shared core of :meth:`query` / :meth:`query_batch` /
-        :meth:`execute_request`: execute, audit, post-process.
-        ``trace_id`` (the serving layer's, empty for direct calls)
-        stamps the audit events this query emits; ``tenant`` attributes
-        the query in the workload profiler (defaults to the policy
-        name, matching the serving layer's tenant fallback)."""
+        """:meth:`_answer` for the library entry points: a failure is
+        re-raised once its record is published."""
+        from repro.serving.protocol import QueryRequest
+
+        result, _, error = self._answer(
+            QueryRequest(policy, query), document, options, scan_cache
+        )
+        if error is not None:
+            raise error
+        return result
+
+    def _answer(
+        self,
+        request,
+        document,
+        options: ExecutionOptions,
+        scan_cache: Optional[dict] = None,
+        tracer: Optional[Tracer] = None,
+    ):
+        """The one path every query takes: execute ``request`` (a
+        :class:`~repro.serving.protocol.QueryRequest`), run the sampled
+        canary, then build its :class:`~repro.obs.record.RequestRecord`,
+        on success and on any exception, and publish it.  Returns
+        ``(result, record, error)``, ``error`` being the exception a
+        failed query raised."""
+        policy = request.policy
         try:
             results, report = self._execute(
-                policy,
-                query,
-                document,
-                options,
-                scan_cache=scan_cache,
-                tracer=tracer,
-                trace_id=trace_id,
+                policy, request.query, document, options, scan_cache, tracer
             )
-        except ReproError as error:
-            self.record_failure(policy, query, error, trace_id, tenant)
-            raise
-        profiler = self._workload
-        if profiler is not None:
-            try:
-                profiler.record_query(
-                    tenant or policy,
-                    policy,
-                    report.fingerprint or query_fingerprint(query),
-                    report.total_time(),
-                    visits=report.visits,
-                    result_count=report.result_count,
-                    cache_hit=report.cache_hit,
-                )
-            except Exception:
-                record("workload.failures")
-        if (
-            tracer is not None
-            and tracer.roots
-            and report.fingerprint is not None
-        ):
-            # stamp the request's root span so flight-recorder traces
-            # carry the query shape (see TraceRecord.from_span)
-            tracer.roots[0].set(fingerprint=str(report.fingerprint))
-        self._post_query(
-            policy, document, results, report, options, tracer, trace_id
+        except Exception as error:
+            record = RequestRecord.from_error(request, error)
+            self.publisher.publish(record)
+            return None, record, error
+        latency = report.total_time()
+        threshold = options.slow_query_threshold
+        record = RequestRecord.of(
+            request,
+            fingerprint=report.fingerprint,
+            report=report,
+            latency_seconds=latency,
+            slow=threshold is not None and latency >= threshold,
+            canary_violations=self._run_canary(
+                policy, document, results, report, options
+            ),
         )
-        return QueryResult(results, report)
-
-    def record_failure(
-        self,
-        policy: str,
-        query: TypingUnion[str, Path],
-        error: Exception,
-        trace_id: str = "",
-        tenant: Optional[str] = None,
-    ) -> None:
-        """Account for one failed request: an audit
-        :class:`~repro.obs.events.ErrorEvent` with the error's stable
-        code (denials already produced a
-        :class:`~repro.obs.events.DenialEvent` when the label check
-        raised) and a workload-profiler error.  The engine calls this
-        for every failed query; the serving layer calls it for
-        requests that fail before reaching the engine (admission)."""
-        denied = isinstance(error, QueryRejectedError)
-        if not denied:
-            self._emit(
-                ErrorEvent,
-                policy,
-                query if isinstance(query, str) else str(query),
-                error_code(error),
-                str(error),
-                trace_id,
-            )
-        profiler = self._workload
-        if profiler is not None:
-            try:
-                profiler.record_error(
-                    tenant or policy,
-                    policy,
-                    query_fingerprint(query),
-                    denied=denied,
-                )
-            except Exception:
-                record("workload.failures")
+        self.publisher.publish(record)
+        return QueryResult(results, report), record, None
 
     def explain(
         self,
@@ -624,10 +582,10 @@ class SecureQueryEngine:
     ) -> QueryReport:
         """Like :meth:`query` but returns only the
         :class:`QueryReport`: the rewriting pipeline's stages, cache
-        status, per-stage timings, and evaluation statistics."""
+        status, per-stage timings, and evaluation statistics.  The
+        query is accounted (metrics, profiler, audit) like any other."""
         options = self._resolve_options(options)
-        _, report = self._execute(policy, query, document, options)
-        return report
+        return self._query_one(policy, query, document, options).report
 
     def invalidate(self, policy: Optional[str] = None) -> None:
         """Drop cached materialized views, NodeTables, and compiled
@@ -760,70 +718,22 @@ class SecureQueryEngine:
         if self._events.active:
             self._events.emit(factory(*arguments))
 
-    def _post_query(
-        self,
-        policy,
-        document,
-        results,
-        report,
-        options: ExecutionOptions,
-        tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-    ) -> None:
-        """Serving-path epilogue: sampled canary check, then the audit
-        QueryEvent.  Both are guarded so they can never fail a query
-        that has already been answered correctly."""
+    def _run_canary(self, policy, document, results, report, options) -> int:
+        """One sampled oracle comparison (see
+        :class:`~repro.obs.canary.SecurityCanary`); returns its
+        violation count.  Guarded: a canary failure is recorded, never
+        raised — the user already has their answer."""
         canary = self._canary
         if (
-            canary is not None
-            and options.project
-            and document is not None
-            and canary.should_sample()
+            canary is None
+            or not options.project
+            or document is None
+            or not canary.should_sample()
         ):
-            self._run_canary(policy, document, results, report, tracer)
-        if not self._events.active:
-            return
-        latency = report.total_time()
-        slow = (
-            options.slow_query_threshold is not None
-            and latency >= options.slow_query_threshold
-        )
-        profile_text = None
-        if slow:
-            profile_text = (
-                report.profile.render()
-                if report.profile is not None
-                else report.summary()
-            )
-        self._events.emit(
-            QueryEvent(
-                policy=policy,
-                query=str(report.original),
-                rewritten=str(report.optimized),
-                strategy=report.strategy,
-                cache_hit=report.cache_hit,
-                result_count=report.result_count,
-                visits=report.visits,
-                latency_seconds=latency,
-                slow=slow,
-                profile=profile_text,
-                fingerprint=(
-                    str(report.fingerprint) if report.fingerprint else ""
-                ),
-                trace_id=trace_id,
-            )
-        )
-
-    def _run_canary(
-        self, policy, document, results, report, tracer=None
-    ) -> None:
-        """One sampled oracle comparison (see
-        :class:`~repro.obs.canary.SecurityCanary`).  Guarded: a canary
-        failure is recorded, never raised — the user already has their
-        answer."""
+            return 0
         try:
             entry = self._policy(policy)
-            event = self._canary.check(
+            event = canary.check(
                 policy,
                 report.original,
                 results,
@@ -832,14 +742,11 @@ class SecureQueryEngine:
             record("canary.checks")
             if event.violations:
                 record("canary.violations", event.violations)
-                if tracer is not None and tracer.roots:
-                    # flag the request's root span so the flight
-                    # recorder tail-retains this trace
-                    tracer.roots[0].set(canary_violations=event.violations)
-            if self._events.active:
-                self._events.emit(event)
+            self._events.emit(event)
+            return event.violations
         except Exception:
             record("canary.failures")
+            return 0
 
     def _materialized_view(
         self,
@@ -866,24 +773,90 @@ class SecureQueryEngine:
             entry.materialized[id(document)] = (document, view_tree)
         return view_tree
 
-    def _record_query_metrics(self, report: QueryReport) -> None:
-        """Fold one report into the process-wide registry (guarded:
-        free unless metrics are enabled).  Compile-pipeline stages are
-        recorded only on cache misses — a warm report carries the
-        entry's build-time stage entries, which did not run for this
-        request."""
+    # -- request-record consumers (fed by self.publisher) -------------------
+
+    def _to_metrics(self, record: RequestRecord) -> None:
         if not metrics_enabled():
             return
         registry = metrics_registry()
+        report = record.report
+        if report is None:
+            if record.denied:
+                registry.increment("query.denials")
+            return
         registry.increment("query.count")
         registry.increment("query.count.%s" % report.strategy)
         registry.observe("query.total_seconds", report.total_time())
         registry.observe("query.result_count", report.result_count)
         registry.observe("query.visits", report.visits)
         for stage, seconds in report.timings.items():
-            if report.cache_hit and stage != "evaluate":
-                continue
-            registry.observe("stage.%s_seconds" % stage, seconds)
+            if not (report.cache_hit and stage in _COMPILE_STAGES):
+                registry.observe("stage.%s_seconds" % stage, seconds)
+
+    def _to_profiler(self, record: RequestRecord) -> None:
+        profiler = self._workload
+        if profiler is None:
+            return
+        report = record.report
+        if report is None:
+            profiler.record_error(
+                record.tenant,
+                record.policy,
+                record.fingerprint,
+                denied=record.denied,
+            )
+        else:
+            profiler.record_query(
+                record.tenant,
+                record.policy,
+                record.fingerprint,
+                record.latency_seconds,
+                visits=report.visits,
+                result_count=report.result_count,
+                cache_hit=report.cache_hit,
+            )
+
+    def _to_audit(self, record: RequestRecord) -> None:
+        events = self._events
+        if not events.active:
+            return
+        report = record.report
+        if report is not None:
+            profile = None
+            if record.slow:
+                profile = (
+                    report.profile.render()
+                    if report.profile is not None
+                    else report.summary()
+                )
+            events.emit(
+                QueryEvent(
+                    policy=record.policy,
+                    query=str(report.original),
+                    rewritten=str(report.optimized),
+                    strategy=report.strategy,
+                    cache_hit=report.cache_hit,
+                    result_count=report.result_count,
+                    visits=report.visits,
+                    latency_seconds=record.latency_seconds,
+                    slow=record.slow,
+                    profile=profile,
+                    fingerprint=str(record.fingerprint or ""),
+                    trace_id=record.trace_id,
+                )
+            )
+        else:
+            factory = DenialEvent if record.denied else ErrorEvent
+            events.emit(
+                factory(
+                    record.policy,
+                    record.query,
+                    *((record.label,) if record.denied else ()),
+                    record.error_code,
+                    record.error_message,
+                    record.trace_id,
+                )
+            )
 
     # -- internals -----------------------------------------------------------------------
 
@@ -907,38 +880,21 @@ class SecureQueryEngine:
         except KeyError:
             raise SecurityError("unknown policy %r" % name) from None
 
-    def _parse(
-        self,
-        entry: _Policy,
-        query: TypingUnion[str, Path],
-        trace_id: str = "",
-    ) -> Path:
+    def _parse(self, entry: _Policy, query: TypingUnion[str, Path]) -> Path:
         parsed = parse_xpath(query) if isinstance(query, str) else query
         if self.strict:
-            self._check_labels(entry, parsed, trace_id)
+            self._check_labels(entry, parsed)
         return parsed
 
-    def _check_labels(
-        self, entry: _Policy, query: Path, trace_id: str = ""
-    ) -> None:
+    def _check_labels(self, entry: _Policy, query: Path) -> None:
         labels = entry.view.labels()
         for node in query.iter_nodes():
             if isinstance(node, Label) and node.name not in labels:
-                error = QueryRejectedError(
+                raise QueryRejectedError(
                     "label %r is not part of the %r view DTD"
-                    % (node.name, entry.name)
+                    % (node.name, entry.name),
+                    label=node.name,
                 )
-                self._emit(
-                    DenialEvent,
-                    entry.name,
-                    str(query),
-                    node.name,
-                    error.code,
-                    str(error),
-                    trace_id,
-                )
-                record("query.denials")
-                raise error
 
     def _rewriter(self, entry: _Policy, document) -> Rewriter:
         if not entry.view.is_recursive():
@@ -1066,7 +1022,6 @@ class SecureQueryEngine:
         strategy: str = STRATEGY_VIRTUAL,
         use_cache: bool = True,
         tracer: Optional[Tracer] = None,
-        trace_id: str = "",
     ):
         """The cached compilation of ``query`` under ``entry``'s
         policy: ``(CompiledQuery, cache_hit)``.  The key carries the
@@ -1106,7 +1061,7 @@ class SecureQueryEngine:
             tracer = Tracer()
         timings: Dict[str, float] = {}
         with tracer.span("parse") as span:
-            parsed = self._parse(entry, query, trace_id)
+            parsed = self._parse(entry, query)
         timings["parse"] = span.duration
         if materialized:
             view = entry.view
@@ -1234,7 +1189,6 @@ class SecureQueryEngine:
         options: ExecutionOptions,
         scan_cache: Optional[dict] = None,
         tracer: Optional[Tracer] = None,
-        trace_id: str = "",
     ):
         """The engine's one query pipeline, for every strategy:
         compile (through the plan cache unless ``use_cache=False``),
@@ -1263,7 +1217,6 @@ class SecureQueryEngine:
                 strategy=strategy,
                 use_cache=options.use_cache,
                 tracer=tracer,
-                trace_id=trace_id,
             )
             if budget is not None:
                 # the deadline covers compilation too
@@ -1326,7 +1279,6 @@ class SecureQueryEngine:
             profile=self._build_profile(compiled, collector, options),
             fingerprint=compiled.fingerprint,
         )
-        self._record_query_metrics(report)
         return results, report
 
     def _build_profile(

@@ -489,6 +489,10 @@ def build_qualifier_image(dtd: DTD, qualifier: Qualifier, start: str):
         if sub is None:
             return None, True
         root = INode("%s=%s" % (QUAL_LABEL, qualifier.value))
+        # the constant is compared at the path's ends: mark them, or
+        # [. = c] (no path nodes) is simulated by every [p = c]
+        for leaf in sub.leaves:
+            leaf.add_child(INode("=%s" % qualifier.value))
         root.children.extend(sub.root.children)
         root.quals.extend(sub.root.quals)
         return root, sub.imprecise

@@ -25,8 +25,11 @@ Zero-dependency layers, all off or near-free by default:
 * :mod:`repro.obs.canary` — :class:`SecurityCanary`, the sampled
   production re-check of served answers against the
   materialized-view oracle;
+* :mod:`repro.obs.record` — :class:`RequestRecord`, each request's
+  outcome, built once and fed to every consumer below by a guarded
+  :class:`~repro.obs.record.Publisher`;
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, bounded
-  tail-biased retention of finished request traces (errors, denials,
+  tail-biased retention of finished request records (errors, denials,
   SLO-slow, canary violations always kept; OK traffic
   reservoir-sampled), behind ``GET /debug/traces`` and ``repro trace
   tail``;
@@ -74,7 +77,8 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
 )
-from repro.obs.flight import FlightRecorder, TraceRecord, render_trace
+from repro.obs.flight import FlightRecorder, render_trace
+from repro.obs.record import RequestRecord
 from repro.obs.slo import BurnWindow, SLObjective, SLOTracker
 from repro.obs.events import (
     CallbackSink,
@@ -112,9 +116,10 @@ __all__ = [
     "TraceContext",
     "new_trace_id",
     "new_span_id",
+    # request records
+    "RequestRecord",
     # flight recorder
     "FlightRecorder",
-    "TraceRecord",
     "render_trace",
     # SLOs
     "SLObjective",

@@ -154,6 +154,9 @@ class QueryResponse:
         Back-pressure hint on shed/rejected failures (``E_SHED`` /
         ``E_ADMISSION``): when a retry has a chance.  Surfaced over
         HTTP as the ``Retry-After`` header on 429 responses.
+    ``record``
+        The request's :class:`~repro.obs.record.RequestRecord`: in
+        process only, outside the wire shape and equality.
     """
 
     policy: str = ""
@@ -167,11 +170,14 @@ class QueryResponse:
     tenant: str = ""
     trace_id: str = ""
     retry_after_seconds: Optional[float] = None
+    record: object = field(default=None, compare=False, repr=False)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_result(cls, request: QueryRequest, result) -> "QueryResponse":
+    def from_result(
+        cls, request: QueryRequest, result, record=None
+    ) -> "QueryResponse":
         """Wrap a :class:`~repro.core.engine.QueryResult` for the wire."""
         from repro.xmlmodel.serialize import serialize
 
@@ -187,11 +193,12 @@ class QueryResponse:
             request_id=request.request_id,
             tenant=request.tenant_id,
             trace_id=request.trace_id,
+            record=record,
         )
 
     @classmethod
     def from_error(
-        cls, request: QueryRequest, error: BaseException
+        cls, request: QueryRequest, error: BaseException, record=None
     ) -> "QueryResponse":
         """Wrap a failure as data, preserving the stable error code."""
         return cls(
@@ -206,6 +213,7 @@ class QueryResponse:
             tenant=request.tenant_id,
             trace_id=request.trace_id,
             retry_after_seconds=getattr(error, "retry_after_seconds", None),
+            record=record,
         )
 
     # -- wire shape ------------------------------------------------------

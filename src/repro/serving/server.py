@@ -30,19 +30,21 @@ from __future__ import annotations
 import itertools
 import queue
 from concurrent.futures import Future
+from dataclasses import replace
 from threading import Condition, Lock, Thread
 from time import monotonic
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError, SecurityError
+from repro.errors import SecurityError
 from repro.robustness.faults import trip as fault_trip
-from repro.obs.flight import FlightRecorder, TraceRecord
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     observe as _observe,
     record as _record,
     set_gauge as _set_gauge,
 )
+from repro.obs.record import Publisher, RequestRecord
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import NULL_SPAN, Tracer, new_trace_id
 from repro.serving.admission import AdmissionController
@@ -191,6 +193,9 @@ class QueryServer(object):
 
             workload = WorkloadProfiler()
         self.workload = workload
+        self.publisher = Publisher(
+            self._to_metrics, self._to_slo, self._to_flight
+        )
         self._started_at: Optional[float] = None
         self._queue: "queue.Queue" = queue.Queue()
         self._ids = itertools.count(1)
@@ -474,60 +479,59 @@ class QueryServer(object):
                             scan_cache=shared_scans,
                             tracer=tracer,
                         )
-            except ReproError as error:
-                # admission failures happen outside the engine; account
-                # for them through the engine's one failure path
-                engine.record_failure(
-                    request.policy,
-                    request.query,
-                    error,
-                    trace_id=request.trace_id or "",
-                    tenant=request.tenant_id,
-                )
-                response = QueryResponse.from_error(request, error)
             except BaseException as error:  # never leak through a future
-                response = QueryResponse.from_error(request, error)
+                # refused before the engine answered: the server builds
+                # the record, and the engine's consumers still get it
+                record = RequestRecord.from_error(request, error)
+                engine.publisher.publish(record)
+                response = QueryResponse.from_error(request, error, record)
             if not response.ok:
                 root_span.set(error_code=response.error_code)
-                _record("serving.errors")
-                if response.error_code:
-                    _record("serving.errors.%s" % response.error_code)
         latency = monotonic() - started
-        tenant_labels = {"tenant": request.tenant_id}
+        record = response.record
+        self.publisher.publish(
+            replace(
+                record,
+                latency_seconds=latency,
+                queued_seconds=started - item.enqueued_at,
+                slow=record.slow or (
+                    record.ok
+                    and self.slo is not None
+                    and latency > self.slo.objective.threshold_seconds
+                ),
+                span=tracer.root if tracer is not None else None,
+            )
+        )
+        self._finish(item, response)
+
+    # -- request-record consumers (fed by self.publisher) ----------------
+
+    def _to_metrics(self, record: RequestRecord) -> None:
+        if not record.ok:
+            _record("serving.errors")
+            if record.error_code:
+                _record("serving.errors.%s" % record.error_code)
+        tenant_labels = {"tenant": record.tenant}
         _observe(
             "serving.latency_seconds",
-            latency,
+            record.latency_seconds,
             labels=tenant_labels,
             buckets=LATENCY_BUCKETS,
         )
         _observe(
             "serving.e2e_seconds",
-            monotonic() - item.enqueued_at,
+            record.queued_seconds + record.latency_seconds,
             labels=tenant_labels,
             buckets=LATENCY_BUCKETS,
         )
-        breach = (
-            self.slo.observe(request.tenant_id, latency, response.ok)
-            if self.slo is not None
-            else False
-        )
-        if self.flight is not None and tracer is not None and tracer.root:
-            self.flight.record(
-                TraceRecord.from_span(
-                    tracer.root,
-                    trace_id=request.trace_id,
-                    request_id=request.request_id,
-                    tenant=request.tenant_id,
-                    policy=request.policy,
-                    query=request.query,
-                    document=request.document,
-                    ok=response.ok,
-                    error_code=response.error_code,
-                    latency_seconds=latency,
-                    slow=response.ok and breach,
-                )
-            )
-        self._finish(item, response)
+
+    def _to_slo(self, record: RequestRecord) -> None:
+        if self.slo is not None:
+            self.slo.observe(record.tenant, record.latency_seconds, record.ok)
+
+    def _to_flight(self, record: RequestRecord) -> None:
+        if self.flight is not None and record.span is not None:
+            self.flight.record(record)
 
     # -- debug introspection ---------------------------------------------
 

@@ -146,18 +146,18 @@ def fingerprint_shape(path: Path) -> str:
 def query_fingerprint(query: TypingUnion[str, Path]) -> Fingerprint:
     """The :class:`Fingerprint` of a query (string or parsed AST).
 
-    Strings are parsed first; a string that fails to parse still gets
-    a deterministic fingerprint (shape :data:`UNPARSED_SHAPE` plus the
-    digest of the raw text), so error accounting can bucket malformed
-    queries without raising from the accounting path itself.
+    Strings are parsed first; a string that fails to parse (with any
+    exception) still gets a deterministic fingerprint (shape
+    :data:`UNPARSED_SHAPE` plus the digest of the raw text), so error
+    accounting can bucket malformed queries without raising from the
+    accounting path itself.
     """
     if isinstance(query, str):
-        from repro.errors import ReproError
         from repro.xpath.parser import parse_xpath
 
         try:
-            query = parse_xpath(query)
-        except ReproError:
+            return query_fingerprint(parse_xpath(query))
+        except Exception:
             return Fingerprint(_digest("!unparsed:" + query), UNPARSED_SHAPE)
     shape = fingerprint_shape(query)
     return Fingerprint(_digest(shape), shape)

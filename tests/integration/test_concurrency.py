@@ -348,10 +348,10 @@ class TestFlightRecorderConcurrency:
     past its bounds, drop an error trace, or corrupt the id index."""
 
     def _trace(self, trace_id, ok=True, error_code="", tenant="t"):
-        from repro.obs.flight import TraceRecord
+        from repro.obs.record import RequestRecord
 
-        return TraceRecord(
-            trace_id,
+        return RequestRecord(
+            trace_id=trace_id,
             tenant=tenant,
             policy="nurse",
             query="//a",

@@ -63,6 +63,15 @@ class TestQueryEvents:
         assert event.latency_seconds >= 0
         assert not event.slow and event.profile is None
 
+    def test_explain_is_accounted_like_query(self, document):
+        engine, ring = build_engine()
+        profiler = engine.enable_workload_profiler()
+        report = engine.explain("nurse", "//patient/name", document)
+        (event,) = ring.events(kind="query")
+        assert event.query == "//patient/name"
+        assert event.result_count == report.result_count
+        assert profiler.report()["tenants"]["nurse"]["queries"] == 1
+
     def test_cache_hit_is_recorded(self, document):
         engine, ring = build_engine()
         engine.query("nurse", "//patient", document)
@@ -122,6 +131,25 @@ class TestErrorEvents:
         assert event.policy == "nurse"
         assert event.query == "//patient["
         assert event.code == "E_PARSE_XPATH"
+
+    def test_foreign_exception_is_audited_and_reraised(self, document):
+        from repro.robustness.degrade import DegradationPolicy
+        from repro.robustness.faults import FaultPlan, FaultSpec
+
+        dtd = hospital_dtd()
+        engine = SecureQueryEngine(
+            dtd, degradation=DegradationPolicy(strict=True)
+        )
+        ring = engine.add_sink(RingBufferSink(capacity=16))
+        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
+        profiler = engine.enable_workload_profiler()
+        columnar = ExecutionOptions(strategy="columnar")
+        with FaultPlan(FaultSpec("store.build", error=RuntimeError("boom"))):
+            with pytest.raises(RuntimeError):
+                engine.query("nurse", "//patient", document, options=columnar)
+        (event,) = ring.events(kind="error")
+        assert (event.code, event.message) == ("E_UNKNOWN", "boom")
+        assert profiler.report()["tenants"]["nurse"]["errors"] == 1
 
 
 class TestCanaryWiring:

@@ -91,6 +91,15 @@ class TestUnionPruning:
         result = opt(optimizer, "pair/b | either/c")
         assert result == "(pair/b | either/c)"
 
+    def test_self_equality_branch_is_the_contained_one(self, optimizer):
+        """``[. = c]`` compares the item itself, ``[b = c]`` its ``b``
+        child: neither implies the other, so the union keeps the
+        looser branch, not the one carrying both tests."""
+        result = opt(
+            optimizer, 'items/item[b = "1"] | items/item[b = "1"][. = "1"]'
+        )
+        assert result == 'items/item[b = "1"]'
+
 
 class TestRecursiveFallback:
     def test_recursive_region_keeps_descendant(self):

@@ -246,6 +246,33 @@ class TestEngineMetrics:
         assert snap["histograms"]["stage.parse_seconds"]["count"] == 1
         assert snap["histograms"]["stage.evaluate_seconds"]["count"] == 2
 
+    def test_cache_hit_still_records_materialize_stage(self, engine):
+        """A plan-cache hit on a new document builds that document's
+        view tree: the materialize stage ran for this request."""
+        materialized = ExecutionOptions(strategy="materialized")
+        documents = [
+            hospital_document(seed=seed, max_branch=4) for seed in (7, 8)
+        ]
+        registry = metrics_registry()
+        registry.reset()
+        enable_metrics()
+        try:
+            reports = [
+                engine.query(
+                    "nurse", "//patient", document, options=materialized
+                ).report
+                for document in documents
+            ]
+            snap = engine.metrics()
+        finally:
+            disable_metrics()
+            registry.reset()
+        assert reports[1].cache_hit
+        assert "materialize" in reports[1].timings
+        assert snap["histograms"]["stage.materialize_seconds"]["count"] == 2
+        # the hit's copied compile stages are still skipped
+        assert snap["histograms"]["stage.parse_seconds"]["count"] == 1
+
     def test_disabled_metrics_record_nothing(self, engine, document):
         registry = metrics_registry()
         registry.reset()

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.obs.flight import FlightRecorder, TraceRecord, render_trace
+from repro.obs.flight import FlightRecorder, render_trace
+from repro.obs.record import RequestRecord
 from repro.obs.trace import Tracer
 
 
 def _record(index, ok=True, error_code="", slow=False, violations=0, tenant="t"):
-    return TraceRecord(
-        "trace%04d" % index,
+    return RequestRecord(
+        trace_id="trace%04d" % index,
         tenant=tenant,
         policy="nurse",
         query="//a",
@@ -21,6 +22,9 @@ def _record(index, ok=True, error_code="", slow=False, violations=0, tenant="t")
 
 
 class TestTraceRecord:
+    """A RequestRecord as the flight recorder keeps it: one retained
+    trace, its classification and its payload."""
+
     def test_status_classification(self):
         assert _record(1).status == "ok"
         assert _record(2, slow=True).status == "slow"
@@ -35,7 +39,7 @@ class TestTraceRecord:
         assert _record(3, ok=False, error_code="E_BUDGET").interesting
         assert _record(4, violations=1).interesting
 
-    def test_from_span_assigns_preorder_span_ids(self):
+    def test_spans_assign_preorder_span_ids(self):
         tracer = Tracer()
         with tracer.span("request") as root:
             with tracer.span("queue_wait"):
@@ -43,7 +47,7 @@ class TestTraceRecord:
             with tracer.span("batch"):
                 with tracer.span("query"):
                     pass
-        record = TraceRecord.from_span(root, trace_id="t1")
+        record = RequestRecord("nurse", "//a", trace_id="t1", span=root)
         spans = record.spans
         assert spans["name"] == "request"
         assert spans["span_id"] == "0001"
@@ -55,23 +59,15 @@ class TestTraceRecord:
         query = children[1]["children"][0]
         assert (query["name"], query["parent_span_id"]) == ("query", "0003")
 
-    def test_from_span_folds_canary_attribute(self):
-        tracer = Tracer()
-        with tracer.span("request") as root:
-            pass
-        root.set(canary_violations=3)
-        record = TraceRecord.from_span(root, trace_id="t1")
-        assert record.canary_violations == 3
-        assert record.interesting
-        assert record.status == "canary-violation"
-
     def test_to_dict_is_json_safe(self):
         import json
 
         tracer = Tracer()
         with tracer.span("request", tenant="t") as root:
             pass
-        record = TraceRecord.from_span(root, trace_id="abc", tenant="t")
+        record = RequestRecord(
+            "nurse", "//a", trace_id="abc", tenant="t", span=root
+        )
         assert json.loads(json.dumps(record.to_dict()))["trace_id"] == "abc"
 
 
@@ -155,8 +151,9 @@ def test_render_trace_includes_header_and_span_tree():
     with tracer.span("request") as root:
         with tracer.span("batch", batch_size=3):
             pass
-    record = TraceRecord.from_span(
-        root, trace_id="abcd" * 8, tenant="nurse", query="//a", slow=True
+    record = RequestRecord(
+        "nurse", "//a", trace_id="abcd" * 8, tenant="nurse", slow=True,
+        span=root,
     )
     text = render_trace(record.to_dict())
     lines = text.splitlines()

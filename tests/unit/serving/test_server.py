@@ -87,36 +87,6 @@ class TestQueryServer:
         assert not response.ok
         assert response.error_code == "E_ADMISSION"
 
-    def test_admission_failure_audited_through_engine(self, document):
-        """A request refused before it reaches the engine is accounted
-        for exactly like an engine failure: one audit ErrorEvent with
-        its trace id, and one profiler error for its tenant."""
-        from repro.robustness.faults import FaultPlan, FaultSpec
-
-        dtd = hospital_dtd()
-        engine = SecureQueryEngine(dtd)
-        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
-        sink = engine.add_sink(RingBufferSink(capacity=16))
-        catalog = EngineCatalog().add("hospital", engine, document)
-        with QueryServer(catalog, workers=1) as server:
-            with FaultPlan(FaultSpec("admission.admit", at=1)):
-                response = server.query(
-                    QueryRequest(
-                        policy="nurse",
-                        query="//patient",
-                        document="hospital",
-                        tenant="ward-2",
-                        trace_id="t-admit",
-                    )
-                )
-            report = server.workload.report()
-        assert response.error_code == "E_FAULT"
-        events = sink.events(kind="error")
-        assert [(e.code, e.trace_id) for e in events] == [
-            ("E_FAULT", "t-admit")
-        ]
-        assert report["tenants"]["ward-2"]["errors"] == 1
-
     def test_batch_coalescing_preserves_answers(self, catalog, engine, document):
         columnar = ExecutionOptions(strategy="columnar")
         texts = ["//patient/name", "//patient//bill", "//patient/name"] * 4
@@ -255,6 +225,132 @@ class TestQueryServer:
             )
         assert isinstance(response, QueryResponse)
         assert QueryResponse.from_dict(response.to_dict()) == response
+
+
+class TestOneRecordPerRequest:
+    """Every outcome — answered, failed in the engine, denied, refused
+    before the engine, failed with a foreign exception — reaches each
+    attached consumer exactly once, under its trace id."""
+
+    CASES = {
+        # case: (strict engine, query, fault, expected code, event kind)
+        "answered": (False, "//patient/name", None, "", "query"),
+        "parse-error": (False, "//patient[", None, "E_PARSE_XPATH", "error"),
+        "denied": (True, "//clinicalTrial", None, "E_LABEL_DENIED", "denial"),
+        "admission-fault": (
+            False,
+            "//patient",
+            ("admission.admit", None),
+            "E_FAULT",
+            "error",
+        ),
+        "foreign-exception": (
+            False,
+            "//patient",
+            ("serving.execute", RuntimeError("boom")),
+            "E_UNKNOWN",
+            "error",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_consumer_records_the_request_once(self, case, document):
+        from repro.obs.flight import FlightRecorder
+        from repro.obs.metrics import (
+            disable_metrics,
+            enable_metrics,
+            metrics_registry,
+        )
+        from repro.obs.slo import SLOTracker
+        from repro.robustness.faults import FaultPlan, FaultSpec
+
+        strict, query, fault, code, kind = self.CASES[case]
+        dtd = hospital_dtd()
+        engine = SecureQueryEngine(dtd, strict=strict)
+        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
+        sink = engine.add_sink(RingBufferSink(capacity=16))
+        catalog = EngineCatalog().add("hospital", engine, document)
+        trace_id = "t-" + case
+        plan = (
+            FaultPlan(FaultSpec(fault[0], error=fault[1]))
+            if fault
+            else FaultPlan()
+        )
+        registry = metrics_registry()
+        registry.reset()
+        enable_metrics()
+        try:
+            with QueryServer(
+                catalog, workers=1, flight=FlightRecorder(), slo=SLOTracker()
+            ) as server:
+                with plan:
+                    response = server.query(
+                        QueryRequest(
+                            policy="nurse",
+                            query=query,
+                            document="hospital",
+                            tenant="ward-2",
+                            trace_id=trace_id,
+                        )
+                    )
+                workload = server.workload.report()["tenants"]["ward-2"]
+                slo = server.slo_payload()["tenants"]["ward-2"]
+                flight = server.flight.stats()
+                trace = server.flight.get(trace_id)
+            snap = registry.snapshot()
+        finally:
+            disable_metrics()
+            registry.reset()
+        assert response.error_code == code
+        assert response.ok == (code == "")
+        # audit: one event, of the outcome's kind, under the trace id
+        events = [
+            event
+            for event in sink.events()
+            if event.kind in ("query", "denial", "error")
+        ]
+        assert [(e.kind, e.trace_id) for e in events] == [(kind, trace_id)]
+        assert getattr(events[0], "code", "") == code
+        # workload profiler: one query for the tenant, classified
+        assert workload["queries"] == 1
+        assert workload["errors"] == int(kind == "error")
+        assert workload["denials"] == int(kind == "denial")
+        # SLO tracker and flight recorder: one request each
+        assert slo["requests"] == 1
+        assert flight["recorded"] == 1
+        assert trace is not None and trace.error_code == code
+        # metrics: one per-tenant latency observation; one outcome count
+        histograms = snap["histograms"]
+        latency = 'serving.latency_seconds{tenant="ward-2"}'
+        assert histograms[latency]["count"] == 1
+        counters = snap["counters"]
+        if kind == "query":
+            assert counters["query.count"] == 1
+            assert counters.get("serving.errors", 0) == 0
+        else:
+            assert counters.get("query.count", 0) == 0
+            assert counters["serving.errors"] == 1
+            assert counters["serving.errors.%s" % code] == 1
+
+    def test_failing_consumer_is_counted_and_skipped(self, catalog):
+        from repro.obs.record import Publisher
+
+        seen = []
+
+        def broken(record):
+            raise RuntimeError("consumer bug")
+
+        publisher = Publisher(broken, seen.append)
+        with QueryServer(catalog, workers=1) as server:
+            server.publisher = publisher
+            response = server.query(
+                QueryRequest(
+                    policy="nurse", query="//patient", document="hospital"
+                )
+            )
+        assert response.ok
+        assert publisher.dropped == 1
+        assert [record.trace_id for record in seen] == [response.trace_id]
 
 
 class TestRequestTracing:

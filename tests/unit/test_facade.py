@@ -76,7 +76,7 @@ class TestLazyImport:
         assert "repro.core" in set(probe["after"])
 
     def test_version(self, probe):
-        assert probe["version"] == "3.0.0"
+        assert probe["version"] == "4.0.0"
 
     def test_version_matches_pyproject(self, probe):
         """The package metadata and ``repro.__version__`` agree (read

@@ -78,6 +78,13 @@ class TestQueryFingerprint:
         # distinct broken texts keep distinct digests
         assert broken != query_fingerprint("///")
 
+    def test_too_deep_query_gets_fallback(self):
+        """Nesting past the recursive parser's depth raises a
+        RecursionError, not a library error; failure accounting
+        fingerprints the query anyway."""
+        deep = "(" * 5000 + "a" + ")" * 5000
+        assert query_fingerprint(deep).shape == UNPARSED_SHAPE
+
     def test_str_is_digest(self):
         fp = query_fingerprint("//patient")
         assert isinstance(fp, Fingerprint)
